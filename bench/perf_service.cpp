@@ -16,12 +16,18 @@
 //     hold the whole burst, so the number is the parse+enqueue cost, not a
 //     backpressure artifact (any backpressure fails the run loudly).
 //
+//  3. Round publish: after every timed round, what `richnote serve`
+//     republishes — export_service_metrics over one metrics().totals()
+//     fleet walk, then the Prometheus text render of that registry.
+//     Reports publish_ms, the median per round; it is timed apart from the
+//     round itself, so service_rounds_per_sec stays the bare round loop.
+//
 // Fleet construction is timed separately (fleet_build_sec) because elastic
 // resharding pays it again on every reshard.
 //
 // Output is machine-readable JSON on stdout (or json=PATH); scripts/bench.sh
 // folds it into BENCH_perf.json as the "service" section and the gate
-// regresses both throughput numbers.
+// regresses both throughput numbers and the publish time.
 //
 // Usage: perf_service [train_users=200] [users=1000000] [rounds=10]
 //                     [ingest_msgs=200000] [threads=1] [seed=1] [trees=10]
@@ -34,10 +40,13 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/stats.hpp"
 #include "core/experiment.hpp"
 #include "core/service.hpp"
 #include "core/wire.hpp"
 #include "ml/simd_dispatch.hpp"
+#include "obs/metrics_registry.hpp"
+#include "obs/prom_text.hpp"
 #include "obs/run_manifest.hpp"
 
 namespace {
@@ -65,6 +74,10 @@ int main(int argc, char** argv) try {
     const auto trees = static_cast<std::size_t>(cfg.get_int("trees", 10));
     const double budget_mb = cfg.get_double("budget", 20.0);
     const auto queue = static_cast<std::size_t>(cfg.get_int("queue", 1 << 19));
+    if (rounds == 0) {
+        std::cerr << "error: rounds= must be at least 1\n";
+        return 1;
+    }
 
     // Setup (not timed): a small training workload; the fleet is then
     // synthesized at users= scale from the model it produced.
@@ -103,10 +116,22 @@ int main(int argc, char** argv) try {
             }
         }
     }
-    std::cerr << "[perf] timing " << rounds << " service rounds...\n";
-    const auto rounds_start = clock_type::now();
-    svc.run_rounds(rounds);
-    const double rounds_wall = seconds_since(rounds_start);
+    std::cerr << "[perf] timing " << rounds << " service rounds + publishes...\n";
+    double rounds_wall = 0.0;
+    std::vector<double> publish_ms_per_round;
+    for (std::uint64_t r = 0; r < rounds; ++r) {
+        const auto round_start = clock_type::now();
+        svc.run_round();
+        rounds_wall += seconds_since(round_start);
+
+        const auto publish_start = clock_type::now();
+        obs::metrics_registry registry;
+        svc.export_service_metrics(svc.metrics().totals(), registry);
+        std::ostringstream prom;
+        obs::write_prometheus_text(registry, prom);
+        publish_ms_per_round.push_back(seconds_since(publish_start) * 1e3);
+    }
+    const double publish_ms = richnote::percentile(publish_ms_per_round, 0.5);
     const double service_rounds_per_sec = static_cast<double>(rounds) / rounds_wall;
     const double user_rounds_per_sec =
         service_rounds_per_sec * static_cast<double>(users);
@@ -166,6 +191,7 @@ int main(int argc, char** argv) try {
          << ", \"wall_sec\": " << rounds_wall
          << ", \"service_rounds_per_sec\": " << service_rounds_per_sec
          << ", \"user_rounds_per_sec\": " << user_rounds_per_sec
+         << ", \"publish_ms\": " << publish_ms
          << ", \"admitted\": " << after.admitted << "},\n"
          << "  \"ingest\": {\"messages\": " << burst
          << ", \"wall_sec\": " << ingest_wall
@@ -194,6 +220,7 @@ int main(int argc, char** argv) try {
         manifest.add_timing("fleet_build_sec", fleet_build_sec);
         manifest.add_timing("service_rounds_per_sec", service_rounds_per_sec);
         manifest.add_timing("user_rounds_per_sec", user_rounds_per_sec);
+        manifest.add_timing("publish_ms", publish_ms);
         manifest.add_timing("ingest_msgs_per_sec", ingest_msgs_per_sec);
         manifest.write_file(cfg.get_string("manifest", ""));
         std::cerr << "[perf] wrote manifest to " << cfg.get_string("manifest", "") << '\n';

@@ -13,7 +13,10 @@
 #              When the reference carries round_loop_mt4 / service sections
 #              (worker_threads=4 round loop; the 1M-user service round loop
 #              + wire ingest), those throughputs are re-measured and gated
-#              by the same floor; older references skip them.
+#              by the same floor; older references skip them. A service
+#              section that records publish_ms (the per-round metrics
+#              publish) also gates it: the best fresh run may be at most
+#              the same percentage slower. References without it skip it.
 #              Also re-runs perf_inference at the reference's row count and
 #              applies the same floor to flat_batch_items_per_sec — but only
 #              when the reference records a matching uarch (ISA + kernel):
@@ -89,7 +92,7 @@ if [ "${1:-}" = "--gate" ]; then
   # marks an old reference without it, which gates the round loop only).
   read -r USERS ROUNDS REF_RPS REF_ALLOCS REF_ROWS REF_BATCH REF_UARCH \
     REF_MT4_RPS REF_SVC_USERS REF_SVC_ROUNDS REF_SVC_MSGS REF_SVC_RPS \
-    REF_SVC_MPS REF_EVAL_USERS REF_EVAL_SEEDS REF_EVAL_THREADS \
+    REF_SVC_MPS REF_SVC_PUB REF_EVAL_USERS REF_EVAL_SEEDS REF_EVAL_THREADS \
     REF_EVAL_SCENARIO REF_EVAL_RPS REF_LC_USERS REF_LC_ROUNDS \
     REF_LC_THREADS REF_LC_ENABLED <<EOF
 $(python3 -c "
@@ -114,6 +117,7 @@ print(rl['params']['users'], rl['params']['rounds'],
       svc.get('params', {}).get('ingest_msgs', '-'),
       svc.get('service', {}).get('service_rounds_per_sec', '-'),
       svc.get('ingest', {}).get('ingest_msgs_per_sec', '-'),
+      svc.get('service', {}).get('publish_ms', '-'),
       ev.get('params', {}).get('users', '-'),
       ev.get('params', {}).get('seeds', '-'),
       ev.get('params', {}).get('worker_threads', '-'),
@@ -248,7 +252,8 @@ EOF
   python3 - "$best_json" "$REF_RPS" "$REF_ALLOCS" "$MAX_PCT" \
     "$infer_json" "$REF_BATCH" "$REF_UARCH" \
     "$mt4_json" "$REF_MT4_RPS" "$svc_json" "$REF_SVC_RPS" "$REF_SVC_MPS" \
-    "$eval_json" "$REF_EVAL_RPS" "$lc_json" "$REF_LC_ENABLED" <<'EOF'
+    "$eval_json" "$REF_EVAL_RPS" "$lc_json" "$REF_LC_ENABLED" "$REF_SVC_PUB" \
+    "$TMP_DIR" "$REPEAT" <<'EOF'
 import json, sys
 
 run = json.load(open(sys.argv[1]))
@@ -324,6 +329,21 @@ else:
                float(sys.argv[11]))
     gate_floor("ingest msgs/sec", svc["ingest"]["ingest_msgs_per_sec"],
                float(sys.argv[12]))
+    if sys.argv[17] == "-":
+        print("[bench] gate: reference has no service publish_ms; publish gate skipped")
+    else:
+        # Lower is better: the fastest publish of the repeats against a
+        # ceiling the same percentage above the reference.
+        fresh = min(json.load(open(f"{sys.argv[18]}/gate_service_{i}.json"))
+                    ["service"]["publish_ms"] for i in range(1, int(sys.argv[19]) + 1))
+        ref = float(sys.argv[17])
+        ceiling = ref * (1.0 + max_pct / 100.0)
+        delta = (fresh - ref) / ref * 100.0
+        print(f"[bench] gate: {fresh:.2f} publish ms vs reference {ref:.2f} ({delta:+.1f}%)")
+        if fresh > ceiling:
+            failures.append(
+                f"publish ms regressed: {fresh:.2f} > {ceiling:.2f} "
+                f"(reference {ref:.2f}, {delta:+.1f}%, limit +{max_pct:g}%)")
 
 if sys.argv[13] == "-":
     print("[bench] gate: reference has no eval section; eval gate skipped")
@@ -445,6 +465,7 @@ ing = service["ingest"]
 print(f"[bench] service: {svc['service_rounds_per_sec']:.2f} rounds/sec over "
       f"{service['params']['users']} users "
       f"({svc['user_rounds_per_sec']:.0f} user-rounds/sec), "
+      f"publish {svc['publish_ms']:.2f} ms/round, "
       f"ingest {ing['ingest_msgs_per_sec']:.0f} msgs/sec")
 ev = evaluation["eval"]
 print(f"[bench] eval: {ev['replicas_per_sec']:.2f} replicas/sec "

@@ -129,7 +129,7 @@ for section in ("round_loop", "round_loop_mt4", "inference", "service", "eval",
         sys.exit(f"BENCH JSON missing section: {section}")
     if doc[section].get("schema") != "richnote-bench-v1":
         sys.exit(f"BENCH JSON section {section} has wrong schema tag")
-for field in ("service_rounds_per_sec",):
+for field in ("service_rounds_per_sec", "publish_ms"):
     if doc["service"]["service"].get(field, 0) <= 0:
         sys.exit(f"BENCH JSON service section has non-positive {field}")
 if doc["service"]["ingest"].get("ingest_msgs_per_sec", 0) <= 0:
@@ -273,6 +273,23 @@ for needle in ("richnote_service_ingest_accepted_total 8",
                'richnote_svc_http_duration_us_bucket{endpoint="round"',
                "# HELP richnote_svc_ingest_rejected_backpressure"):
     assert needle in metrics, f"missing from /metrics: {needle}"
+
+# An at-least-once replay of id 1: admitted again, suppressed by the
+# broker, so /progress must count arrivals after dedup, exactly as the
+# richnote.delivery.arrived_total series does.
+status, body = post("/ingest", lines.splitlines()[0] + "\n")
+assert status == 200 and json.loads(body)["accepted"] == 1, (status, body)
+status, body = post("/round", "")
+assert status == 200, (status, body)
+status, body = get("/progress")
+progress = json.loads(body)
+status, metrics = get("/metrics")
+series = dict(line.split(" ", 1) for line in metrics.splitlines()
+              if line and not line.startswith("#"))
+assert progress["arrived_total"] == int(series["richnote_delivery_arrived_total"]) == 8, \
+    (progress, series["richnote_delivery_arrived_total"])
+assert progress["duplicates_suppressed"] == 1, progress
+assert series["richnote_service_admitted_total"] == "9", series["richnote_service_admitted_total"]
 
 status, body = get("/exemplars")
 assert status == 200, (status, body)

@@ -170,6 +170,38 @@ broker make_user_broker(const broker_build_context& ctx, trace::user_id u,
                   user_seed);
 }
 
+experiment_result make_experiment_result(const experiment_setup& setup,
+                                         const experiment_params& params,
+                                         const metrics_recorder& metrics,
+                                         const run_totals& totals,
+                                         const std::vector<broker>& brokers,
+                                         std::uint64_t rounds_run) {
+    experiment_result r;
+    r.scheduler_name = to_string(params.kind);
+    if (params.kind == scheduler_kind::fifo || params.kind == scheduler_kind::util) {
+        r.scheduler_name += "(L" + std::to_string(params.fixed_level) + ")";
+    }
+    r.weekly_budget_mb = params.weekly_budget_mb;
+    r.delivery_ratio = totals.delivery_ratio();
+    r.delivered_mb = totals.bytes_delivered / 1e6;
+    r.metered_mb = totals.metered_bytes_delivered / 1e6;
+    r.recall = totals.recall();
+    r.precision = totals.precision();
+    r.total_utility = totals.utility;
+    r.utility_clicked = totals.utility_clicked;
+    r.avg_utility = totals.average_utility_per_delivery();
+    r.energy_kj = totals.energy_joules / 1000.0;
+    r.mean_delay_min = totals.mean_queuing_delay_sec() / 60.0;
+    r.level_mix = metrics.level_mix(totals);
+    r.user_categories = metrics.utility_by_user_category(setup.default_category_edges());
+    r.rounds_run = rounds_run;
+    r.faults = totals.faults;
+    double queue_total = 0.0;
+    for (const auto& b : brokers) queue_total += static_cast<double>(b.sched().queue_size());
+    r.final_queue_items = queue_total / static_cast<double>(brokers.size());
+    return r;
+}
+
 experiment_result run_experiment(const experiment_setup& setup,
                                  const experiment_params& params) {
     RICHNOTE_REQUIRE(params.weekly_budget_mb > 0, "budget must be positive");
@@ -295,17 +327,11 @@ experiment_result run_experiment(const experiment_setup& setup,
             snap.queue_bytes_total += b.sched().queue_bytes();
             snap.energy_credit_joules_total += b.sched().energy_credit_joules();
         }
-        snap.arrived_total = static_cast<std::uint64_t>(metrics.total_arrived());
-        snap.delivered_total = static_cast<std::uint64_t>(metrics.total_delivered());
-        const auto f = metrics.fault_summary();
-        snap.faults_injected = f.faults_injected;
-        snap.transfer_retries = f.transfer_retries;
-        snap.dead_lettered = f.dead_lettered;
-        snap.duplicates_suppressed = f.duplicates_suppressed;
-        snap.crash_restarts = f.crash_restarts;
+        const run_totals totals = metrics.totals();
+        fill_progress(totals, snap);
         snap.done = done;
         richnote::obs::metrics_registry live;
-        export_metrics(metrics, live);
+        export_metrics(totals, live);
         params.progress->on_round(snap, live);
     };
 
@@ -410,32 +436,11 @@ experiment_result run_experiment(const experiment_setup& setup,
     sim.run();
     if (params.progress != nullptr) publish_progress(rounds_run, true);
 
-    // Aggregate.
-    experiment_result r;
-    r.scheduler_name = to_string(params.kind);
-    if (params.kind == scheduler_kind::fifo || params.kind == scheduler_kind::util) {
-        r.scheduler_name += "(L" + std::to_string(params.fixed_level) + ")";
-    }
-    r.weekly_budget_mb = params.weekly_budget_mb;
-    r.delivery_ratio = metrics.delivery_ratio();
-    r.delivered_mb = metrics.total_bytes_delivered() / 1e6;
-    r.metered_mb = metrics.total_metered_bytes() / 1e6;
-    r.recall = metrics.recall();
-    r.precision = metrics.precision();
-    r.total_utility = metrics.total_utility();
-    r.utility_clicked = metrics.total_utility_clicked();
-    r.avg_utility = metrics.average_utility_per_delivery();
-    r.energy_kj = metrics.total_energy_joules() / 1000.0;
-    r.mean_delay_min = metrics.mean_queuing_delay_sec() / 60.0;
-    r.level_mix = metrics.level_mix();
-    r.user_categories = metrics.utility_by_user_category(setup.default_category_edges());
-    r.rounds_run = rounds_run;
-    r.faults = metrics.fault_summary();
+    const run_totals totals = metrics.totals();
+    experiment_result r =
+        make_experiment_result(setup, params, metrics, totals, brokers, rounds_run);
     r.trajectories = std::move(trajectories);
-    double queue_total = 0.0;
-    for (const auto& b : brokers) queue_total += static_cast<double>(b.sched().queue_size());
-    r.final_queue_items = queue_total / static_cast<double>(brokers.size());
-    if (params.registry != nullptr) export_metrics(metrics, *params.registry);
+    if (params.registry != nullptr) export_metrics(totals, *params.registry);
     return r;
 }
 

@@ -148,7 +148,7 @@ struct experiment_result {
     double final_queue_items = 0.0; ///< mean scheduling-queue length at end
 
     /// Fault/recovery tallies over the run (all zero without a fault plan).
-    metrics_recorder::fault_totals faults;
+    fault_counters faults;
 
     /// Per-round control-state samples for experiment_params::telemetry_users.
     std::shared_ptr<telemetry> trajectories;
@@ -201,6 +201,18 @@ private:
 /// Runs one scheduler over the whole trace and aggregates metrics.
 experiment_result run_experiment(const experiment_setup& setup,
                                  const experiment_params& params);
+
+/// Assembles a run's result: `totals` (metrics.totals(), one fleet walk)
+/// supplies every §V-C figure and the fault tallies, `metrics` the
+/// per-level and per-bucket views, `brokers` the final queue lengths.
+/// run_experiment and notification_service::summarize() both report
+/// through it, so batch and service results come from one place.
+experiment_result make_experiment_result(const experiment_setup& setup,
+                                         const experiment_params& params,
+                                         const metrics_recorder& metrics,
+                                         const run_totals& totals,
+                                         const std::vector<broker>& brokers,
+                                         std::uint64_t rounds_run);
 
 /// theta: the per-round slice of the weekly budget (§V-C "budget per week").
 double round_budget_bytes(const experiment_params& params) noexcept;

@@ -5,23 +5,30 @@
 
 #include "common/error.hpp"
 #include "obs/metrics_registry.hpp"
+#include "obs/progress.hpp"
 
 namespace richnote::core {
 
-double user_metrics::delivery_ratio() const noexcept {
-    return arrived ? static_cast<double>(delivered) / static_cast<double>(arrived) : 0.0;
+namespace {
+
+double ratio(std::uint64_t num, std::uint64_t den) noexcept {
+    return den ? static_cast<double>(num) / static_cast<double>(den) : 0.0;
 }
 
-double user_metrics::precision() const noexcept {
-    return delivered
-               ? static_cast<double>(delivered_before_click) / static_cast<double>(delivered)
-               : 0.0;
+} // namespace
+
+double user_metrics::delivery_ratio() const noexcept { return ratio(delivered, arrived); }
+
+double run_totals::delivery_ratio() const noexcept { return ratio(delivered, arrived); }
+
+double run_totals::recall() const noexcept { return ratio(delivered_clicked, clicked_total); }
+
+double run_totals::precision() const noexcept {
+    return ratio(delivered_before_click, delivered);
 }
 
-double user_metrics::recall() const noexcept {
-    return clicked_total
-               ? static_cast<double>(delivered_clicked) / static_cast<double>(clicked_total)
-               : 0.0;
+double run_totals::average_utility_per_delivery() const noexcept {
+    return delivered ? utility / static_cast<double>(delivered) : 0.0;
 }
 
 metrics_recorder::metrics_recorder(std::size_t user_count, std::size_t max_level)
@@ -105,87 +112,29 @@ const user_metrics& metrics_recorder::user(std::size_t u) const {
     return users_[u];
 }
 
-double metrics_recorder::total_arrived() const noexcept {
-    double total = 0;
-    for (const auto& u : users_) total += static_cast<double>(u.arrived);
-    return total;
-}
-
-double metrics_recorder::total_delivered() const noexcept {
-    double total = 0;
-    for (const auto& u : users_) total += static_cast<double>(u.delivered);
-    return total;
-}
-
-double metrics_recorder::delivery_ratio() const noexcept {
-    const double arrived = total_arrived();
-    return arrived > 0 ? total_delivered() / arrived : 0.0;
-}
-
-double metrics_recorder::total_bytes_delivered() const noexcept {
-    double total = 0;
-    for (const auto& u : users_) total += u.bytes_delivered;
-    return total;
-}
-
-double metrics_recorder::total_metered_bytes() const noexcept {
-    double total = 0;
-    for (const auto& u : users_) total += u.metered_bytes_delivered;
-    return total;
-}
-
-double metrics_recorder::recall() const noexcept {
-    double clicked = 0;
-    double hit = 0;
+run_totals metrics_recorder::totals() const noexcept {
+    run_totals t;
     for (const auto& u : users_) {
-        clicked += static_cast<double>(u.clicked_total);
-        hit += static_cast<double>(u.delivered_clicked);
+        t.arrived += u.arrived;
+        t.delivered += u.delivered;
+        t.clicked_total += u.clicked_total;
+        t.delivered_clicked += u.delivered_clicked;
+        t.delivered_before_click += u.delivered_before_click;
+        t.bytes_delivered += u.bytes_delivered;
+        t.metered_bytes_delivered += u.metered_bytes_delivered;
+        t.utility += u.utility_delivered;
+        t.utility_clicked += u.utility_clicked;
+        t.energy_joules += u.energy_joules;
+        // merge() ignores an empty side; skipping the call keeps idle users cheap.
+        if (u.queuing_delay_sec.count() != 0) t.queuing_delay_sec.merge(u.queuing_delay_sec);
+        t.faults.accumulate(u.faults);
     }
-    return clicked > 0 ? hit / clicked : 0.0;
+    return t;
 }
 
-double metrics_recorder::precision() const noexcept {
-    double delivered = 0;
-    double hit = 0;
-    for (const auto& u : users_) {
-        delivered += static_cast<double>(u.delivered);
-        hit += static_cast<double>(u.delivered_before_click);
-    }
-    return delivered > 0 ? hit / delivered : 0.0;
-}
-
-double metrics_recorder::total_utility() const noexcept {
-    double total = 0;
-    for (const auto& u : users_) total += u.utility_delivered;
-    return total;
-}
-
-double metrics_recorder::total_utility_clicked() const noexcept {
-    double total = 0;
-    for (const auto& u : users_) total += u.utility_clicked;
-    return total;
-}
-
-double metrics_recorder::average_utility_per_delivery() const noexcept {
-    const double delivered = total_delivered();
-    return delivered > 0 ? total_utility() / delivered : 0.0;
-}
-
-double metrics_recorder::total_energy_joules() const noexcept {
-    double total = 0;
-    for (const auto& u : users_) total += u.energy_joules;
-    return total;
-}
-
-double metrics_recorder::mean_queuing_delay_sec() const noexcept {
-    richnote::running_stats all;
-    for (const auto& u : users_) all.merge(u.queuing_delay_sec);
-    return all.mean();
-}
-
-std::vector<double> metrics_recorder::level_mix() const {
+std::vector<double> metrics_recorder::level_mix(const run_totals& totals) const {
     std::vector<double> mix(max_level_ + 1, 0.0);
-    const double arrived = total_arrived();
+    const double arrived = static_cast<double>(totals.arrived);
     if (arrived <= 0) return mix;
     double delivered = 0;
     for (const auto& u : users_) {
@@ -198,12 +147,6 @@ std::vector<double> metrics_recorder::level_mix() const {
                                         // fraction ("simply the missing
                                         // fraction in each stack").
     return mix;
-}
-
-metrics_recorder::fault_totals metrics_recorder::fault_summary() const noexcept {
-    fault_totals t;
-    for (const auto& u : users_) t.accumulate(u.faults);
-    return t;
 }
 
 std::vector<metrics_recorder::user_category_row> metrics_recorder::utility_by_user_category(
@@ -243,22 +186,20 @@ std::vector<metrics_recorder::user_category_row> metrics_recorder::utility_by_us
     return rows;
 }
 
-void export_metrics(const metrics_recorder& metrics, richnote::obs::metrics_registry& registry) {
-    registry.count("richnote.delivery.arrived_total",
-                   static_cast<std::uint64_t>(metrics.total_arrived()));
-    registry.count("richnote.delivery.delivered_total",
-                   static_cast<std::uint64_t>(metrics.total_delivered()));
-    registry.gauge_set("richnote.delivery.bytes_total", metrics.total_bytes_delivered());
-    registry.gauge_set("richnote.delivery.metered_bytes_total", metrics.total_metered_bytes());
-    registry.gauge_set("richnote.run.delivery_ratio", metrics.delivery_ratio());
-    registry.gauge_set("richnote.run.precision", metrics.precision());
-    registry.gauge_set("richnote.run.recall", metrics.recall());
-    registry.gauge_set("richnote.run.utility_total", metrics.total_utility());
-    registry.gauge_set("richnote.run.utility_clicked_total", metrics.total_utility_clicked());
-    registry.gauge_set("richnote.run.energy_joules_total", metrics.total_energy_joules());
-    registry.gauge_set("richnote.run.mean_queuing_delay_sec", metrics.mean_queuing_delay_sec());
+void export_metrics(const run_totals& t, richnote::obs::metrics_registry& registry) {
+    registry.count("richnote.delivery.arrived_total", t.arrived);
+    registry.count("richnote.delivery.delivered_total", t.delivered);
+    registry.gauge_set("richnote.delivery.bytes_total", t.bytes_delivered);
+    registry.gauge_set("richnote.delivery.metered_bytes_total", t.metered_bytes_delivered);
+    registry.gauge_set("richnote.run.delivery_ratio", t.delivery_ratio());
+    registry.gauge_set("richnote.run.precision", t.precision());
+    registry.gauge_set("richnote.run.recall", t.recall());
+    registry.gauge_set("richnote.run.utility_total", t.utility);
+    registry.gauge_set("richnote.run.utility_clicked_total", t.utility_clicked);
+    registry.gauge_set("richnote.run.energy_joules_total", t.energy_joules);
+    registry.gauge_set("richnote.run.mean_queuing_delay_sec", t.mean_queuing_delay_sec());
 
-    const fault_counters f = metrics.fault_summary();
+    const fault_counters& f = t.faults;
     registry.count("richnote.faults.injected_total", f.faults_injected);
     registry.count("richnote.faults.retries_total", f.transfer_retries);
     registry.count("richnote.faults.dead_letters_total", f.dead_lettered);
@@ -266,6 +207,16 @@ void export_metrics(const metrics_recorder& metrics, richnote::obs::metrics_regi
     registry.count("richnote.faults.crash_restarts_total", f.crash_restarts);
     registry.gauge_set("richnote.faults.partial_bytes_total", f.partial_bytes);
     registry.gauge_set("richnote.faults.resumed_bytes_total", f.resumed_bytes);
+}
+
+void fill_progress(const run_totals& t, richnote::obs::progress_snapshot& snap) noexcept {
+    snap.arrived_total = t.arrived;
+    snap.delivered_total = t.delivered;
+    snap.faults_injected = t.faults.faults_injected;
+    snap.transfer_retries = t.faults.transfer_retries;
+    snap.dead_lettered = t.faults.dead_lettered;
+    snap.duplicates_suppressed = t.faults.duplicates_suppressed;
+    snap.crash_restarts = t.faults.crash_restarts;
 }
 
 } // namespace richnote::core

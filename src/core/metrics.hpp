@@ -17,6 +17,7 @@
 
 namespace richnote::obs {
 class metrics_registry;
+struct progress_snapshot;
 }
 
 namespace richnote::core {
@@ -41,17 +42,41 @@ struct user_metrics {
     fault_counters faults;
 
     double delivery_ratio() const noexcept;
-    /// §V-C: "the fraction of delivered notifications (before the recorded
-    /// click time in the Spotify trace) that are clicked on by the users".
+};
+
+/// Fleet-wide sums of the per-user tallies (metrics_recorder::totals()).
+/// Every §V-C figure, the /metrics export, the live /progress snapshot and
+/// experiment_result read these fields, so each fact has one source.
+struct run_totals {
+    std::uint64_t arrived = 0;
+    std::uint64_t delivered = 0;
+    std::uint64_t clicked_total = 0;
+    std::uint64_t delivered_clicked = 0;
+    std::uint64_t delivered_before_click = 0;
+    double bytes_delivered = 0.0;        ///< Fig. 3(b)
+    double metered_bytes_delivered = 0.0;
+    double utility = 0.0;                ///< Fig. 4(a)
+    double utility_clicked = 0.0;        ///< Fig. 4(b)
+    double energy_joules = 0.0;          ///< Fig. 4(c)
+    richnote::running_stats queuing_delay_sec; ///< all users' delays merged
+    fault_counters faults;
+
+    double delivery_ratio() const noexcept; ///< Fig. 3(a)
+    /// Fig. 3(c), §V-C: "the fraction of total clicked notifications that
+    /// are delivered to the users" (no before-click qualifier).
+    double recall() const noexcept; ///< delivered_clicked / clicked_total
+    /// Fig. 3(d), §V-C: "the fraction of delivered notifications (before the
+    /// recorded click time in the Spotify trace) that are clicked on by the
+    /// users".
     double precision() const noexcept; ///< delivered_before_click / delivered
-    /// §V-C: "the fraction of total clicked notifications that are
-    /// delivered to the users" (no before-click qualifier).
-    double recall() const noexcept;    ///< delivered_clicked / clicked_total
+    double average_utility_per_delivery() const noexcept;
+    /// Fig. 4(d).
+    double mean_queuing_delay_sec() const noexcept { return queuing_delay_sec.mean(); }
 };
 
 /// All mutating calls touch only the recipient user's slot, so the
 /// recorder is safe under user-sharded parallelism (each user driven by
-/// exactly one worker thread); aggregates are computed after the run.
+/// exactly one worker thread); aggregates are read between rounds.
 class metrics_recorder {
 public:
     explicit metrics_recorder(std::size_t user_count, std::size_t max_level);
@@ -98,23 +123,30 @@ public:
     std::size_t user_count() const noexcept { return users_.size(); }
     std::size_t max_level() const noexcept { return max_level_; }
 
-    // ----- aggregates across users (each the mean/sum the paper plots) ----
-    double total_arrived() const noexcept;
-    double total_delivered() const noexcept;
-    double delivery_ratio() const noexcept;      ///< Fig. 3(a)
-    double total_bytes_delivered() const noexcept; ///< Fig. 3(b)
-    double total_metered_bytes() const noexcept;
-    double recall() const noexcept;              ///< Fig. 3(c)
-    double precision() const noexcept;           ///< Fig. 3(d)
-    double total_utility() const noexcept;       ///< Fig. 4(a)
-    double total_utility_clicked() const noexcept; ///< Fig. 4(b)
-    double average_utility_per_delivery() const noexcept;
-    double total_energy_joules() const noexcept; ///< Fig. 4(c)
-    double mean_queuing_delay_sec() const noexcept; ///< Fig. 4(d)
+    /// Every fleet-wide §V-C aggregate from one user-ordered walk. Callers
+    /// that publish or report read it once and take each figure from its
+    /// fields.
+    run_totals totals() const noexcept;
+
+    // Single-aggregate conveniences kept for callers outside src/ (the
+    // richbench passes). Each is a whole totals() walk: code reading more
+    // than one aggregate reads totals() once instead.
+    double delivery_ratio() const noexcept { return totals().delivery_ratio(); }
+    double total_bytes_delivered() const noexcept { return totals().bytes_delivered; }
+    double recall() const noexcept { return totals().recall(); }
+    double precision() const noexcept { return totals().precision(); }
+    double total_utility() const noexcept { return totals().utility; }
+    double total_utility_clicked() const noexcept { return totals().utility_clicked; }
+    double total_energy_joules() const noexcept { return totals().energy_joules; }
+    double mean_queuing_delay_sec() const noexcept {
+        return totals().mean_queuing_delay_sec();
+    }
+    fault_counters fault_summary() const noexcept { return totals().faults; }
 
     /// Fraction of deliveries at each level 1..max (Figs. 5(b)/(c));
     /// index 0 counts items never delivered ("missing fraction").
-    std::vector<double> level_mix() const;
+    /// `totals` is this recorder's totals() (it supplies the arrivals).
+    std::vector<double> level_mix(const run_totals& totals) const;
 
     /// Fig. 5(d): bucket users by arrived-item count (edges are bucket upper
     /// bounds; the last is open-ended) and report mean/stddev of per-user
@@ -128,19 +160,18 @@ public:
     std::vector<user_category_row> utility_by_user_category(
         const std::vector<std::uint64_t>& edges) const;
 
-    /// Fault / recovery tallies summed across users (the same counter block
-    /// each user carries — see core/counters.hpp).
-    using fault_totals = fault_counters;
-    fault_totals fault_summary() const noexcept;
-
 private:
     std::vector<user_metrics> users_;
     std::size_t max_level_;
 };
 
-/// Exports a finished run's aggregates into the obs registry under the
-/// canonical richnote.* metric names (DESIGN.md §9) — the one place the
-/// recorder's tallies and the fault counter block become named series.
-void export_metrics(const metrics_recorder& metrics, richnote::obs::metrics_registry& registry);
+/// Exports a run's aggregates into the obs registry under the canonical
+/// richnote.* metric names (DESIGN.md §9) — the one place the recorder's
+/// tallies and the fault counter block become named series.
+void export_metrics(const run_totals& totals, richnote::obs::metrics_registry& registry);
+
+/// Copies the delivery and fault tallies into a live progress snapshot —
+/// the one place /progress gets them, in simulate and serve alike.
+void fill_progress(const run_totals& totals, richnote::obs::progress_snapshot& snap) noexcept;
 
 } // namespace richnote::core

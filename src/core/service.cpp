@@ -237,36 +237,12 @@ service_counters notification_service::counters() const {
 }
 
 experiment_result notification_service::summarize() const {
-    experiment_result r;
-    const experiment_params& ep = params_.experiment;
-    r.scheduler_name = to_string(ep.kind);
-    if (ep.kind == scheduler_kind::fifo || ep.kind == scheduler_kind::util) {
-        r.scheduler_name += "(L" + std::to_string(ep.fixed_level) + ")";
-    }
-    r.weekly_budget_mb = ep.weekly_budget_mb;
-    r.delivery_ratio = metrics_.delivery_ratio();
-    r.delivered_mb = metrics_.total_bytes_delivered() / 1e6;
-    r.metered_mb = metrics_.total_metered_bytes() / 1e6;
-    r.recall = metrics_.recall();
-    r.precision = metrics_.precision();
-    r.total_utility = metrics_.total_utility();
-    r.utility_clicked = metrics_.total_utility_clicked();
-    r.avg_utility = metrics_.average_utility_per_delivery();
-    r.energy_kj = metrics_.total_energy_joules() / 1000.0;
-    r.mean_delay_min = metrics_.mean_queuing_delay_sec() / 60.0;
-    r.level_mix = metrics_.level_mix();
-    r.user_categories = metrics_.utility_by_user_category(setup_->default_category_edges());
-    r.rounds_run = rounds_run_;
-    r.faults = metrics_.fault_summary();
-    double queue_total = 0.0;
-    for (const broker& b : brokers_)
-        queue_total += static_cast<double>(b.sched().queue_size());
-    r.final_queue_items = queue_total / static_cast<double>(brokers_.size());
-    return r;
+    return make_experiment_result(*setup_, params_.experiment, metrics_, metrics_.totals(),
+                                  brokers_, rounds_run_);
 }
 
 void notification_service::export_service_metrics(
-    richnote::obs::metrics_registry& registry) const {
+    const run_totals& totals, richnote::obs::metrics_registry& registry) const {
     const service_counters c = counters();
     registry.count("richnote.service.ingest.accepted_total", c.ingest_accepted);
     registry.count("richnote.service.ingest.rejected_parse_total", c.ingest_rejected_parse);
@@ -295,7 +271,7 @@ void notification_service::export_service_metrics(
     if (params_.experiment.lifecycle != nullptr) {
         params_.experiment.lifecycle->export_metrics(registry);
     }
-    export_metrics(metrics_, registry);
+    export_metrics(totals, registry);
 }
 
 } // namespace richnote::core

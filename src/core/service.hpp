@@ -133,9 +133,12 @@ public:
     /// runner produces — this is what the equivalence tests byte-compare.
     experiment_result summarize() const;
 
-    /// Exports the service counters under richnote.service.* names (plus
-    /// the run aggregates via core::export_metrics).
-    void export_service_metrics(richnote::obs::metrics_registry& registry) const;
+    /// Exports the service counters under richnote.service.* names plus
+    /// the run aggregates via core::export_metrics. `totals` is
+    /// metrics().totals(), taken once by the caller so one publish is one
+    /// fleet walk shared with the /progress snapshot.
+    void export_service_metrics(const run_totals& totals,
+                                richnote::obs::metrics_registry& registry) const;
 
 private:
     void build_fleet();

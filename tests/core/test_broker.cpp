@@ -71,7 +71,7 @@ TEST_F(broker_test, admission_records_arrival_and_queues_item) {
     auto b = make_broker(std::make_unique<fifo_scheduler>(3, energy_), 1e6);
     b.admit(make_note(1));
     EXPECT_EQ(b.sched().queue_size(), 1u);
-    EXPECT_DOUBLE_EQ(metrics_.total_arrived(), 1.0);
+    EXPECT_EQ(metrics_.totals().arrived, 1u);
 }
 
 TEST_F(broker_test, admission_rejects_foreign_user) {
@@ -87,8 +87,8 @@ TEST_F(broker_test, round_delivers_when_connected_and_budgeted) {
     richnote::rng gen(1);
     b.run_round(0.0);
     EXPECT_EQ(b.sched().queue_size(), 0u);
-    EXPECT_DOUBLE_EQ(metrics_.total_delivered(), 1.0);
-    EXPECT_GT(metrics_.total_energy_joules(), 0.0);
+    EXPECT_EQ(metrics_.totals().delivered, 1u);
+    EXPECT_GT(metrics_.totals().energy_joules, 0.0);
 }
 
 TEST_F(broker_test, nothing_delivers_when_offline) {
@@ -98,7 +98,7 @@ TEST_F(broker_test, nothing_delivers_when_offline) {
     richnote::rng gen(1);
     b.run_round(0.0);
     EXPECT_EQ(b.sched().queue_size(), 1u);
-    EXPECT_DOUBLE_EQ(metrics_.total_delivered(), 0.0);
+    EXPECT_EQ(metrics_.totals().delivered, 0u);
 }
 
 TEST_F(broker_test, budget_is_deducted_and_rolls_over) {
@@ -110,7 +110,7 @@ TEST_F(broker_test, budget_is_deducted_and_rolls_over) {
     int delivered_at = -1;
     for (int round = 0; round < 6; ++round) {
         b.run_round(round * t::hours);
-        if (metrics_.total_delivered() > 0 && delivered_at < 0) delivered_at = round;
+        if (metrics_.totals().delivered > 0 && delivered_at < 0) delivered_at = round;
     }
     EXPECT_EQ(delivered_at, 4); // first round whose budget covers 200.2 KB
     // Deduction happened: leftover budget is below theta * rounds.
@@ -141,7 +141,7 @@ TEST_F(broker_test, delivery_timestamps_reflect_link_serialization) {
     b.run_round(0.0);
     // Two 200.2 KB items over 200 KB/s cellular: ~1 s and ~2 s after the
     // round starts; both well under an hour.
-    const double delay = metrics_.mean_queuing_delay_sec();
+    const double delay = metrics_.totals().mean_queuing_delay_sec();
     EXPECT_GT(delay, 0.5);
     EXPECT_LT(delay, 10.0);
 }
@@ -153,8 +153,8 @@ TEST_F(broker_test, richnote_scheduler_adapts_inside_broker) {
     richnote::rng gen(1);
     b.run_round(0.0);
     // Tiny budget: everything goes out as metadata-only.
-    EXPECT_DOUBLE_EQ(metrics_.total_delivered(), 5.0);
-    const auto mix = metrics_.level_mix();
+    EXPECT_EQ(metrics_.totals().delivered, 5u);
+    const auto mix = metrics_.level_mix(metrics_.totals());
     EXPECT_DOUBLE_EQ(mix[1], 1.0);
 }
 
@@ -165,9 +165,9 @@ TEST_F(broker_test, link_capacity_limits_per_round_bytes) {
     for (std::uint64_t i = 0; i < 1000; ++i) b.admit(make_note(i));
     richnote::rng gen(1);
     b.run_round(0.0);
-    EXPECT_LT(metrics_.total_delivered(), 1000.0);
-    EXPECT_GT(metrics_.total_delivered(), 800.0);
-    EXPECT_LE(metrics_.total_bytes_delivered(), 200.0 * 1024.0 * 3600.0);
+    EXPECT_LT(metrics_.totals().delivered, 1000u);
+    EXPECT_GT(metrics_.totals().delivered, 800u);
+    EXPECT_LE(metrics_.totals().bytes_delivered, 200.0 * 1024.0 * 3600.0);
 }
 
 TEST_F(broker_test, rejects_invalid_construction) {

@@ -81,12 +81,12 @@ TEST_F(broker_resilience, duplicate_admissions_are_suppressed_and_counted) {
 
     EXPECT_EQ(b.sched().queue_size(), 1u);
     EXPECT_EQ(b.duplicates_suppressed(), 2u);
-    EXPECT_DOUBLE_EQ(metrics.total_arrived(), 1.0);
+    EXPECT_EQ(metrics.totals().arrived, 1u);
     EXPECT_EQ(metrics.user(0).faults.duplicates_suppressed, 2u);
 
     // The item delivers exactly once despite the replays.
     b.run_round(0.0);
-    EXPECT_DOUBLE_EQ(metrics.total_delivered(), 1.0);
+    EXPECT_EQ(metrics.totals().delivered, 1u);
 }
 
 TEST_F(broker_resilience, duplicate_suppression_survives_delivery) {
@@ -95,13 +95,13 @@ TEST_F(broker_resilience, duplicate_suppression_survives_delivery) {
     auto b = make_broker(metrics, 1e6);
     b.admit(make_note(1));
     b.run_round(0.0);
-    ASSERT_DOUBLE_EQ(metrics.total_delivered(), 1.0);
+    ASSERT_EQ(metrics.totals().delivered, 1u);
 
     b.admit(make_note(1));
     EXPECT_EQ(b.sched().queue_size(), 0u);
     EXPECT_EQ(b.duplicates_suppressed(), 1u);
     b.run_round(t::default_round);
-    EXPECT_DOUBLE_EQ(metrics.total_delivered(), 1.0);
+    EXPECT_EQ(metrics.totals().delivered, 1u);
 }
 
 // ------------------------------ byte-level partial-transfer accounting ----
@@ -126,7 +126,7 @@ TEST_F(broker_resilience, interrupted_transfers_charge_only_moved_bytes) {
     const int rounds = 12;
     for (int r = 0; r < rounds; ++r) b.run_round(r * t::default_round);
 
-    EXPECT_DOUBLE_EQ(metrics.total_delivered(), 0.0);
+    EXPECT_EQ(metrics.totals().delivered, 0u);
     EXPECT_EQ(b.sched().queue_size(), 1u);
     EXPECT_GT(b.failed_transfers(), 0u);
 
@@ -154,7 +154,7 @@ TEST_F(broker_resilience, legacy_flag_burns_the_full_size_per_attempt) {
     const int rounds = 5;
     for (int r = 0; r < rounds; ++r) b.run_round(r * t::default_round);
 
-    EXPECT_DOUBLE_EQ(metrics.total_delivered(), 0.0);
+    EXPECT_EQ(metrics.totals().delivered, 0u);
     EXPECT_EQ(b.failed_transfers(), static_cast<std::uint64_t>(rounds));
     EXPECT_TRUE(b.partial_progress().empty()) << "legacy mode is not resumable";
     // Each attempt burned one full L3 size (~200 KB >> what partial
@@ -191,10 +191,10 @@ TEST_F(broker_resilience, resumed_transfer_completes_from_the_high_water_mark) {
     b.admit(make_note(1));
 
     int r = 0;
-    for (; r < 100 && metrics.total_delivered() < 1.0; ++r)
+    for (; r < 100 && metrics.totals().delivered == 0; ++r)
         b.run_round(r * t::default_round);
 
-    ASSERT_DOUBLE_EQ(metrics.total_delivered(), 1.0) << "did not complete in " << r
+    ASSERT_EQ(metrics.totals().delivered, 1u) << "did not complete in " << r
                                                      << " rounds";
     const auto& u = metrics.user(0);
     EXPECT_GT(u.faults.transfer_retries, 0u) << "seed should produce at least one cut";
@@ -207,7 +207,7 @@ TEST_F(broker_resilience, resumed_transfer_completes_from_the_high_water_mark) {
     auto ref = make_broker(ref_metrics, 1e6);
     ref.admit(make_note(1));
     ref.run_round(0.0);
-    ASSERT_DOUBLE_EQ(ref_metrics.total_delivered(), 1.0);
+    ASSERT_EQ(ref_metrics.totals().delivered, 1u);
     const double total_moved = u.faults.partial_bytes + u.bytes_delivered;
     EXPECT_NEAR(total_moved, ref_metrics.user(0).bytes_delivered, 1e-6);
     EXPECT_TRUE(b.partial_progress().empty());

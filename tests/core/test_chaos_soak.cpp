@@ -99,7 +99,7 @@ protected:
         const auto* qs = dynamic_cast<const queue_scheduler_base*>(&b.sched());
         ASSERT_NE(qs, nullptr);
 
-        double last_delivered = 0.0;
+        std::uint64_t last_delivered = 0;
         for (int r = 0; r < rounds; ++r) {
             const double now = r * t::default_round;
             const auto id = static_cast<std::uint64_t>(r);
@@ -120,10 +120,10 @@ protected:
 
             // Invariant: deliveries are monotone and never exceed the
             // distinct items admitted (no double delivery).
-            const double delivered = metrics.total_delivered();
-            ASSERT_GE(delivered, last_delivered) << "round " << r;
-            ASSERT_LE(delivered, metrics.total_arrived()) << "round " << r;
-            last_delivered = delivered;
+            const auto totals = metrics.totals();
+            ASSERT_GE(totals.delivered, last_delivered) << "round " << r;
+            ASSERT_LE(totals.delivered, totals.arrived) << "round " << r;
+            last_delivered = totals.delivered;
 
             // Invariant: Q(t) stays bounded (delivery keeps up with the
             // one-item-per-round admission despite the injected faults).
@@ -167,10 +167,10 @@ TEST_F(chaos_soak, fifo_survives_600_rounds_of_mixed_faults) {
     // still queued, or dead-lettered (FIFO never expires or declines).
     const auto* qs = dynamic_cast<const queue_scheduler_base*>(&b.sched());
     ASSERT_NE(qs, nullptr);
-    EXPECT_EQ(static_cast<std::uint64_t>(metrics.total_arrived()),
+    EXPECT_EQ(metrics.totals().arrived,
               u.delivered + qs->queue_size() + qs->dead_lettered());
     // Most items still make it through despite the chaos.
-    EXPECT_GT(metrics.delivery_ratio(), 0.7);
+    EXPECT_GT(metrics.totals().delivery_ratio(), 0.7);
 }
 
 TEST_F(chaos_soak, richnote_survives_600_rounds_of_mixed_faults) {
@@ -196,10 +196,10 @@ TEST_F(chaos_soak, richnote_survives_600_rounds_of_mixed_faults) {
     EXPECT_GT(u.faults.crash_restarts, 0u);
 
     // Conservation with the RichNote drop paths included.
-    EXPECT_EQ(static_cast<std::uint64_t>(metrics.total_arrived()),
+    EXPECT_EQ(metrics.totals().arrived,
               u.delivered + sched_raw->queue_size() + sched_raw->dead_lettered() +
                   sched_raw->expired_items() + sched_raw->dropped_low_utility());
-    EXPECT_GT(metrics.delivery_ratio(), 0.7);
+    EXPECT_GT(metrics.totals().delivery_ratio(), 0.7);
 }
 
 // --------------------------------------- experiment-scale determinism ----

@@ -79,8 +79,8 @@ TEST_F(failure_injection, permanent_outage_queues_everything) {
         broker.run_round(round * t::hours);
     }
     EXPECT_EQ(broker.sched().queue_size(), 48u);
-    EXPECT_DOUBLE_EQ(metrics_.total_delivered(), 0.0);
-    EXPECT_DOUBLE_EQ(metrics_.total_energy_joules(), 0.0);
+    EXPECT_EQ(metrics_.totals().delivered, 0u);
+    EXPECT_DOUBLE_EQ(metrics_.totals().energy_joules, 0.0);
 }
 
 TEST_F(failure_injection, recovery_after_outage_drains_the_backlog) {
@@ -113,8 +113,8 @@ TEST_F(failure_injection, dead_battery_stops_richnote_deliveries_eventually) {
     // The initial 3 KJ credit covers many small transfers but is finite:
     // far fewer than the 200 offered items are delivered, and total energy
     // is bounded by the initial credit (plus one overshoot).
-    EXPECT_LT(metrics_.total_delivered(), 200.0);
-    EXPECT_LE(metrics_.total_energy_joules(), 3000.0 + 50.0);
+    EXPECT_LT(metrics_.totals().delivered, 200u);
+    EXPECT_LE(metrics_.totals().energy_joules, 3000.0 + 50.0);
     EXPECT_GT(broker.sched().queue_size(), 0u);
 }
 
@@ -164,7 +164,7 @@ TEST_F(failure_injection, items_larger_than_any_budget_park_harmlessly) {
     for (int round = 0; round < 10; ++round) broker.run_round(round * t::hours);
     // Only the 200 B metadata presentation fits in theta = 100 B? It does
     // not — so nothing is ever delivered, and nothing crashes.
-    EXPECT_DOUBLE_EQ(metrics_.total_delivered(), 0.0);
+    EXPECT_EQ(metrics_.totals().delivered, 0u);
     EXPECT_EQ(broker.sched().queue_size(), 1u);
 }
 

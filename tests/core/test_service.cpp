@@ -19,6 +19,7 @@
 #include "core/wire.hpp"
 #include "obs/lifecycle.hpp"
 #include "obs/metrics_registry.hpp"
+#include "obs/progress.hpp"
 #include "obs/trace_sink.hpp"
 #include "trace/notification.hpp"
 
@@ -198,6 +199,73 @@ TEST_F(service_test, duplicate_ids_are_suppressed_idempotently) {
     EXPECT_EQ(svc.metrics().user(3).arrived, 1u);
 }
 
+TEST_F(service_test, progress_counts_arrivals_after_dedup) {
+    // /progress and /metrics are filled from one totals() walk, so a
+    // replayed id the brokers suppress is counted in neither: arrived_total
+    // is the deduplicated arrival count, not the admitted one.
+    notification_service svc(*setup_, serve_params(2));
+    const notification& n = setup_->world().notifications().per_user[5][0];
+    const std::string line = richnote::core::format_wire_line(n);
+    for (int i = 0; i < 2; ++i)
+        ASSERT_EQ(svc.ingest_line(line), ingest_status::accepted);
+    svc.run_rounds(200);
+
+    const richnote::core::run_totals totals = svc.metrics().totals();
+    richnote::obs::metrics_registry registry;
+    svc.export_service_metrics(totals, registry);
+    richnote::obs::progress_snapshot snap;
+    richnote::core::fill_progress(totals, snap);
+
+    EXPECT_EQ(svc.counters().admitted, 2u);
+    EXPECT_EQ(snap.arrived_total, 1u);
+    EXPECT_EQ(snap.arrived_total, registry.counter("richnote.delivery.arrived_total"));
+    EXPECT_EQ(snap.delivered_total, registry.counter("richnote.delivery.delivered_total"));
+    EXPECT_EQ(snap.duplicates_suppressed, 1u);
+    EXPECT_EQ(snap.duplicates_suppressed,
+              registry.counter("richnote.faults.duplicates_suppressed_total"));
+}
+
+TEST_F(service_test, exported_metrics_equal_summarize_bitwise) {
+    // One place per fact: /metrics and summarize() read the same totals, at
+    // any worker count and across a mid-run reshard.
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+        notification_service svc(*setup_, serve_params(threads));
+        ingest_workload(svc);
+        svc.run_rounds(30);
+        svc.reshard(threads == 1 ? 3 : 1);
+        svc.run_rounds(40);
+
+        const experiment_result r = svc.summarize();
+        richnote::obs::metrics_registry reg;
+        svc.export_service_metrics(svc.metrics().totals(), reg);
+        const double arrived =
+            static_cast<double>(reg.counter("richnote.delivery.arrived_total"));
+        const double delivered =
+            static_cast<double>(reg.counter("richnote.delivery.delivered_total"));
+        ASSERT_GT(delivered, 0.0) << "threads " << threads;
+        EXPECT_EQ(reg.gauge("richnote.run.utility_total"), r.total_utility) << threads;
+        EXPECT_EQ(reg.gauge("richnote.run.utility_clicked_total"), r.utility_clicked)
+            << threads;
+        EXPECT_EQ(reg.gauge("richnote.run.delivery_ratio"), r.delivery_ratio) << threads;
+        EXPECT_EQ(delivered / arrived, r.delivery_ratio) << threads;
+        EXPECT_EQ(reg.gauge("richnote.run.precision"), r.precision) << threads;
+        EXPECT_EQ(reg.gauge("richnote.run.recall"), r.recall) << threads;
+        EXPECT_EQ(reg.gauge("richnote.run.mean_queuing_delay_sec") / 60.0, r.mean_delay_min)
+            << threads;
+        EXPECT_EQ(reg.gauge("richnote.run.energy_joules_total") / 1000.0, r.energy_kj)
+            << threads;
+        EXPECT_EQ(reg.gauge("richnote.delivery.bytes_total") / 1e6, r.delivered_mb) << threads;
+        EXPECT_EQ(reg.gauge("richnote.delivery.metered_bytes_total") / 1e6, r.metered_mb)
+            << threads;
+        EXPECT_EQ(r.avg_utility, r.total_utility / delivered) << threads;
+        EXPECT_EQ(reg.counter("richnote.faults.duplicates_suppressed_total"),
+                  r.faults.duplicates_suppressed)
+            << threads;
+        EXPECT_EQ(reg.counter("richnote.faults.injected_total"), r.faults.faults_injected)
+            << threads;
+    }
+}
+
 TEST_F(service_test, ingest_order_within_a_round_does_not_matter) {
     // Out-of-order timestamps on the wire: a whole workload delivered in
     // reverse (and interleaved across users) is canonicalised at the round
@@ -290,7 +358,7 @@ TEST_F(service_test, lifecycle_tracking_never_changes_outputs) {
               c.ingest_accepted);
 
     richnote::obs::metrics_registry registry;
-    traced.export_service_metrics(registry);
+    traced.export_service_metrics(traced.metrics().totals(), registry);
     EXPECT_EQ(registry.get_histogram("richnote.svc.e2e_us").total_count(),
               lifecycle.delivered());
     EXPECT_EQ(registry.counter("richnote.svc.ingest_accepted"), c.ingest_accepted);

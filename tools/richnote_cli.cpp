@@ -692,10 +692,13 @@ int cmd_serve(const config& cfg) {
     std::atomic_bool shutdown{false};
     const auto started = std::chrono::steady_clock::now();
 
+    // One publish is one fleet walk: /metrics and /progress read the same
+    // totals, so their delivery and fault counts always agree.
     auto publish = [&] {
         const core::service_counters c = service.counters();
+        const core::run_totals totals = service.metrics().totals();
         obs::metrics_registry registry;
-        service.export_service_metrics(registry);
+        service.export_service_metrics(totals, registry);
         red.export_metrics(registry);
         expo.publish_metrics(registry);
         expo.publish_document("/exemplars", "application/json",
@@ -709,10 +712,7 @@ int cmd_serve(const config& cfg) {
                 .count();
         snap.rounds_per_sec =
             snap.wall_sec > 0.0 ? static_cast<double>(c.rounds_run) / snap.wall_sec : 0.0;
-        snap.arrived_total = c.admitted;
-        snap.delivered_total =
-            static_cast<std::uint64_t>(service.metrics().total_delivered());
-        snap.duplicates_suppressed = service.metrics().fault_summary().duplicates_suppressed;
+        core::fill_progress(totals, snap);
         expo.publish_progress(snap);
     };
 
