@@ -7,8 +7,14 @@
 //     model trained on train_users= serves millions) runs rounds= rounds on
 //     the persistent worker pool, after the training trace has been
 //     replayed over the wire so the low ids carry real queues. Reports
-//     service_rounds_per_sec and user_rounds_per_sec — the headline
-//     "simulated users per host" capacity claim.
+//     service_rounds_per_sec and user_rounds_per_sec = rounds/sec × users:
+//     how fast the whole fleet's clock advances, the "simulated users per
+//     host" capacity claim. It is not broker work done: a round runs only
+//     the active list (users with queued or pending items) and defers every
+//     idle broker's round until that broker is next touched. So the harness
+//     reports beside it active_users, the mean number of brokers a timed
+//     round ran, and caught_up_rounds, the deferred rounds replayed during
+//     the timed rounds.
 //
 //  2. Ingest plane: ingest_msgs= pre-rendered NDJSON lines are pushed
 //     through parse + validation + the MPSC admission ring from a single
@@ -119,10 +125,13 @@ int main(int argc, char** argv) try {
     std::cerr << "[perf] timing " << rounds << " service rounds + publishes...\n";
     double rounds_wall = 0.0;
     std::vector<double> publish_ms_per_round;
+    const std::uint64_t caught_up_before = svc.counters().caught_up_rounds;
+    std::uint64_t active_user_rounds = 0;
     for (std::uint64_t r = 0; r < rounds; ++r) {
         const auto round_start = clock_type::now();
         svc.run_round();
         rounds_wall += seconds_since(round_start);
+        active_user_rounds += svc.counters().active_users;
 
         const auto publish_start = clock_type::now();
         obs::metrics_registry registry;
@@ -135,6 +144,10 @@ int main(int argc, char** argv) try {
     const double service_rounds_per_sec = static_cast<double>(rounds) / rounds_wall;
     const double user_rounds_per_sec =
         service_rounds_per_sec * static_cast<double>(users);
+    const double active_users =
+        static_cast<double>(active_user_rounds) / static_cast<double>(rounds);
+    const std::uint64_t caught_up_rounds =
+        svc.counters().caught_up_rounds - caught_up_before;
 
     // Phase 2: the ingest plane. Lines are pre-rendered so the timed loop
     // is parse + validate + enqueue, exactly what a wire producer costs the
@@ -191,6 +204,8 @@ int main(int argc, char** argv) try {
          << ", \"wall_sec\": " << rounds_wall
          << ", \"service_rounds_per_sec\": " << service_rounds_per_sec
          << ", \"user_rounds_per_sec\": " << user_rounds_per_sec
+         << ", \"active_users\": " << active_users
+         << ", \"caught_up_rounds\": " << caught_up_rounds
          << ", \"publish_ms\": " << publish_ms
          << ", \"admitted\": " << after.admitted << "},\n"
          << "  \"ingest\": {\"messages\": " << burst
@@ -220,6 +235,8 @@ int main(int argc, char** argv) try {
         manifest.add_timing("fleet_build_sec", fleet_build_sec);
         manifest.add_timing("service_rounds_per_sec", service_rounds_per_sec);
         manifest.add_timing("user_rounds_per_sec", user_rounds_per_sec);
+        manifest.add_timing("active_users", active_users);
+        manifest.add_timing("caught_up_rounds", static_cast<double>(caught_up_rounds));
         manifest.add_timing("publish_ms", publish_ms);
         manifest.add_timing("ingest_msgs_per_sec", ingest_msgs_per_sec);
         manifest.write_file(cfg.get_string("manifest", ""));

@@ -122,6 +122,11 @@ public:
 
     const scheduler& sched() const noexcept { return *scheduler_; }
 
+    /// Rounds executed so far (restored with a checkpoint). The service
+    /// compares it with its own round count to find how far a deferred
+    /// broker lags.
+    std::uint64_t rounds_run() const noexcept { return round_index_; }
+
     /// Transfers that failed mid-flight so far (see transfer_failure_prob).
     std::uint64_t failed_transfers() const noexcept { return failed_transfers_; }
 

@@ -1,7 +1,9 @@
 #include "core/wire.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "obs/json_util.hpp"
@@ -34,6 +36,34 @@ bool as_u64(const trace_value& v, std::uint64_t& out) noexcept {
     if (!(v.num >= 0.0) || v.num != std::floor(v.num) || v.num > 1.8446744073709552e19)
         return false;
     out = static_cast<std::uint64_t>(v.num);
+    return true;
+}
+
+bool is_space(char c) noexcept { return c == ' ' || c == '\t' || c == '\r' || c == '\n'; }
+
+void skip_space(std::string_view s, std::size_t& pos) noexcept {
+    while (pos < s.size() && is_space(s[pos])) ++pos;
+}
+
+/// Consumes `token` at `pos` (after optional whitespace).
+bool expect(std::string_view s, std::size_t& pos, std::string_view token) noexcept {
+    skip_space(s, pos);
+    if (s.substr(pos, token.size()) != token) return false;
+    pos += token.size();
+    return true;
+}
+
+/// Consumes a run of decimal digits at `pos` (after optional whitespace);
+/// a value past 64 bits saturates.
+bool decimal_u64(std::string_view s, std::size_t& pos, std::uint64_t& out) noexcept {
+    skip_space(s, pos);
+    const char* first = s.data() + pos;
+    const char* last = s.data() + s.size();
+    const std::from_chars_result r = std::from_chars(first, last, out);
+    if (r.ptr == first) return false; // from_chars accepts no sign here, only digits
+    if (r.ec == std::errc::result_out_of_range)
+        out = std::numeric_limits<std::uint64_t>::max();
+    pos += static_cast<std::size_t>(r.ptr - first);
     return true;
 }
 
@@ -145,6 +175,20 @@ bool parse_wire_line(std::string_view line, trace::notification& out, std::strin
     if (!have_type) return fail(error, "missing field: type");
     if (!have_track) return fail(error, "missing field: track");
     if (!have_created) return fail(error, "missing field: created_at");
+    return true;
+}
+
+bool parse_thread_count(std::string_view body, std::uint64_t& threads, std::string* error) {
+    std::size_t pos = 0;
+    skip_space(body, pos);
+    const bool object = pos < body.size() && body[pos] == '{';
+    if (object && !(expect(body, pos, "{") && expect(body, pos, "\"threads\"") &&
+                    expect(body, pos, ":")))
+        return fail(error, "bad threads");
+    if (!decimal_u64(body, pos, threads)) return fail(error, "bad threads");
+    if (object && !expect(body, pos, "}")) return fail(error, "bad threads");
+    skip_space(body, pos);
+    if (pos != body.size()) return fail(error, "bad threads");
     return true;
 }
 

@@ -1,11 +1,19 @@
 #include "core/worker_pool.hpp"
 
+#include <string>
+
 #include "common/error.hpp"
 
 namespace richnote::core {
 
+void worker_pool::require_thread_count(std::size_t threads) {
+    RICHNOTE_REQUIRE(threads >= 1 && threads <= max_threads,
+                     "worker thread count must be between 1 and " +
+                         std::to_string(max_threads));
+}
+
 worker_pool::worker_pool(std::size_t threads) : threads_(threads) {
-    RICHNOTE_REQUIRE(threads >= 1, "worker pool needs at least one thread");
+    require_thread_count(threads);
     workers_.reserve(threads - 1);
     for (std::size_t slot = 1; slot < threads; ++slot) {
         workers_.emplace_back([this, slot] { worker_loop(slot); });

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 
 #include "trace/notification.hpp"
@@ -12,6 +14,7 @@
 namespace {
 
 using richnote::core::format_wire_line;
+using richnote::core::parse_thread_count;
 using richnote::core::parse_wire_line;
 using richnote::trace::notification;
 using richnote::trace::notification_type;
@@ -148,6 +151,39 @@ TEST(wire_codec, unknown_keys_are_ignored_and_labels_default) {
     EXPECT_FALSE(out.attended);
     EXPECT_FALSE(out.clicked);
     EXPECT_EQ(out.clicked_at, 0.0);
+}
+
+TEST(reshard_body, bare_integer_and_threads_object_parse) {
+    std::uint64_t threads = 0;
+    EXPECT_TRUE(parse_thread_count("3", threads));
+    EXPECT_EQ(threads, 3u);
+    EXPECT_TRUE(parse_thread_count(" 12\n", threads));
+    EXPECT_EQ(threads, 12u);
+    EXPECT_TRUE(parse_thread_count("{\"threads\":4}", threads));
+    EXPECT_EQ(threads, 4u);
+    EXPECT_TRUE(parse_thread_count("{ \"threads\" : 7 }\n", threads));
+    EXPECT_EQ(threads, 7u);
+    // Zero and huge counts are well-formed; the pool's ceiling rejects them.
+    EXPECT_TRUE(parse_thread_count("0", threads));
+    EXPECT_EQ(threads, 0u);
+    EXPECT_TRUE(parse_thread_count("{\"threads\":99999999}", threads));
+    EXPECT_EQ(threads, 99999999u);
+    EXPECT_TRUE(parse_thread_count("123456789012345678901234567890", threads));
+    EXPECT_EQ(threads, std::numeric_limits<std::uint64_t>::max());
+}
+
+TEST(reshard_body, malformed_bodies_are_named_errors) {
+    for (const char* body :
+         {"-3", "+3", "2x", "x2", "3 4", "", "  ", "3.0", "1e2", "0x10",
+          "{\"threads\":4,\"x\":1}", "{\"x\":1,\"threads\":4}", "{\"threads\":-3}",
+          "{\"threads\":\"4\"}", "{\"threads\":4.5}", "{\"threads\":4", "{\"threads\":4}x",
+          "{\"thread\":4}", "{threads:4}", "[4]"}) {
+        SCOPED_TRACE(body);
+        std::uint64_t threads = 77;
+        std::string error;
+        EXPECT_FALSE(parse_thread_count(body, threads, &error));
+        EXPECT_EQ(error, "bad threads");
+    }
 }
 
 } // namespace
