@@ -9,17 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 
 #include "core/experiment.hpp"
 #include "faults/fault_plan.hpp"
-
-#ifndef RICHNOTE_SOURCE_DIR
-#error "tests must be compiled with RICHNOTE_SOURCE_DIR"
-#endif
+#include "golden.hpp"
 
 namespace {
 
@@ -28,33 +23,12 @@ using richnote::core::experiment_result;
 using richnote::core::experiment_setup;
 using richnote::core::run_experiment;
 using richnote::core::scheduler_kind;
+using richnote::test::compare_or_update;
 
 std::string fmt(double v) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%.17g", v);
     return buf;
-}
-
-std::string golden_path(const std::string& name) {
-    return std::string(RICHNOTE_SOURCE_DIR) + "/tests/data/golden/" + name;
-}
-
-void compare_or_update(const std::string& name, const std::string& actual) {
-    const std::string path = golden_path(name);
-    if (std::getenv("RICHNOTE_UPDATE_GOLDEN") != nullptr) {
-        std::ofstream out(path, std::ios::binary);
-        ASSERT_TRUE(out.good()) << "cannot write " << path;
-        out << actual;
-        GTEST_SKIP() << "updated golden " << path;
-    }
-    std::ifstream in(path, std::ios::binary);
-    ASSERT_TRUE(in.good()) << "missing golden file " << path
-                           << " — run with RICHNOTE_UPDATE_GOLDEN=1 to create it";
-    std::stringstream expected;
-    expected << in.rdbuf();
-    EXPECT_EQ(expected.str(), actual)
-        << "output of " << name << " drifted from the checked-in golden; "
-        << "if the change is intentional, re-baseline with RICHNOTE_UPDATE_GOLDEN=1";
 }
 
 /// One tiny shared setup for every golden (same pattern as the real bench

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "core/experiment.hpp"
+#include "golden.hpp"
 #include "obs/trace_sink.hpp"
 
 namespace {
@@ -28,7 +29,8 @@ const experiment_setup& shared_setup() {
     return *setup;
 }
 
-std::string traced_run(std::size_t worker_threads, double fault_intensity) {
+std::string traced_run(std::size_t worker_threads, double fault_intensity,
+                       bool reorder = false) {
     trace_sink sink(12);
     experiment_params params;
     params.weekly_budget_mb = 3.0;
@@ -42,6 +44,7 @@ std::string traced_run(std::size_t worker_threads, double fault_intensity) {
         fp.partial_transfer_prob = 0.10 * fault_intensity;
         fp.duplicate_prob = 0.05 * fault_intensity;
         fp.crash_restart_prob = 0.02 * fault_intensity;
+        if (reorder) fp.reorder_prob = 0.3 * fault_intensity;
         params.faults = fp;
         params.retry.max_attempts = 4;
         params.retry.backoff_base_sec = 60.0;
@@ -71,6 +74,14 @@ TEST(trace_determinism, fault_events_are_deterministic_across_threads_too) {
     // The fault run must actually contain fault-path event types.
     EXPECT_NE(sequential.find("\"type\":\"fault\""), std::string::npos);
     EXPECT_EQ(sequential, sharded);
+}
+
+TEST(trace_determinism, faulted_sharded_stream_matches_the_golden_digest) {
+    // Pins the bytes across commits, not just across runs of one binary: a
+    // fault plan plus two worker threads covers the reorder, duplicate,
+    // blackout, crash-restart and partial-transfer events.
+    richnote::test::compare_or_update("trace_batch_faults_t2.digest",
+                                      richnote::test::digest_of(traced_run(2, 1.0, true)));
 }
 
 TEST(trace_determinism, stream_contains_the_documented_event_vocabulary) {
