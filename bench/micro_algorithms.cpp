@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot algorithmic kernels:
-// the MCKP greedy (paper §IV claims O(n + k log n)), the indexed heap, the
-// discrete-event queue, and Random Forest scoring. These back the paper's
-// complexity claim with measured scaling rather than reproducing a figure.
+// the MCKP greedy (paper §IV claims O(n + k log n)), the indexed heap and
+// Random Forest scoring. These back the paper's complexity claim with
+// measured scaling rather than reproducing a figure.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -11,7 +11,6 @@
 #include "core/mckp.hpp"
 #include "core/presentation.hpp"
 #include "ml/random_forest.hpp"
-#include "sim/event_queue.hpp"
 
 namespace {
 
@@ -57,19 +56,6 @@ void bm_indexed_heap_push_pop(benchmark::State& state) {
     }
 }
 BENCHMARK(bm_indexed_heap_push_pop)->Range(64, 16384);
-
-void bm_event_queue_schedule_pop(benchmark::State& state) {
-    const auto n = static_cast<std::size_t>(state.range(0));
-    rng gen(11);
-    std::vector<double> times(n);
-    for (auto& t : times) t = gen.uniform(0, 1e6);
-    for (auto _ : state) {
-        sim::event_queue q;
-        for (double t : times) q.schedule(t, [] {});
-        while (!q.empty()) q.pop();
-    }
-}
-BENCHMARK(bm_event_queue_schedule_pop)->Range(64, 16384);
 
 void bm_forest_predict(benchmark::State& state) {
     // A forest shaped like the content-utility model.

@@ -1,5 +1,5 @@
-// Indexed binary heap with update-key, shared by the MCKP gradient heap
-// (src/core/mckp.*) and the discrete-event queue (src/sim/event_queue.*).
+// Indexed binary heap with update-key, behind the MCKP gradient heap
+// (src/core/mckp.*).
 //
 // Elements are identified by a dense external id in [0, capacity). The heap
 // supports push / pop-top / update-priority / erase in O(log n), and keeps

@@ -33,7 +33,7 @@ public:
     static constexpr result_type max() noexcept { return ~result_type{0}; }
 
     /// Next raw 64-bit output (xoshiro256**). Inline: this is the base of
-    /// every per-round random draw in the simulator.
+    /// every per-round random draw in the round engine.
     result_type operator()() noexcept {
         const std::uint64_t result = rotl_(state_[1] * 5, 7) * 9;
         const std::uint64_t t = state_[1] << 17;
@@ -73,13 +73,17 @@ public:
     /// Uniformly random index into a container of the given size (> 0).
     std::size_t index(std::size_t size) noexcept;
 
-    /// Fisher-Yates shuffle.
+    /// Fisher-Yates shuffle of the random-access range [first, last).
+    template <typename It>
+    void shuffle(It first, It last) noexcept {
+        for (auto i = static_cast<std::size_t>(last - first); i > 1; --i) {
+            using std::swap;
+            swap(first[i - 1], first[index(i)]);
+        }
+    }
     template <typename T>
     void shuffle(std::vector<T>& items) noexcept {
-        for (std::size_t i = items.size(); i > 1; --i) {
-            using std::swap;
-            swap(items[i - 1], items[index(i)]);
-        }
+        shuffle(items.begin(), items.end());
     }
 
     /// Sample an index according to (unnormalized, non-negative) weights.

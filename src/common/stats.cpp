@@ -45,6 +45,16 @@ double running_stats::variance() const noexcept {
 
 double running_stats::stddev() const noexcept { return std::sqrt(variance()); }
 
+double running_stats::sample_variance() const noexcept {
+    return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
+}
+
+double running_stats::sample_stddev() const noexcept { return std::sqrt(sample_variance()); }
+
+double running_stats::standard_error() const noexcept {
+    return count_ > 1 ? sample_stddev() / std::sqrt(static_cast<double>(count_)) : 0.0;
+}
+
 double percentile(std::vector<double> values, double q) {
     RICHNOTE_REQUIRE(!values.empty(), "percentile of an empty sample");
     RICHNOTE_REQUIRE(q >= 0.0 && q <= 1.0, "quantile must be in [0,1]");

@@ -7,6 +7,8 @@
 namespace richnote {
 
 /// Numerically stable streaming mean / variance (Welford) with min/max.
+/// Fold order is part of the contract: two accumulators fed the same
+/// values in the same order hold bit-identical moments.
 class running_stats {
 public:
     void add(double value) noexcept;
@@ -18,6 +20,11 @@ public:
     /// Population variance; 0 for fewer than two samples.
     double variance() const noexcept;
     double stddev() const noexcept;
+    /// Unbiased sample variance s² = M2/(n-1); 0 for fewer than two samples.
+    double sample_variance() const noexcept;
+    double sample_stddev() const noexcept;
+    /// Standard error of the mean, s/sqrt(n); 0 for fewer than two samples.
+    double standard_error() const noexcept;
     double min() const noexcept { return count_ ? min_ : 0.0; }
     double max() const noexcept { return count_ ? max_ : 0.0; }
     double sum() const noexcept { return sum_; }

@@ -62,7 +62,7 @@ void export_eval_metrics(const eval_result& result, const eval_params& params,
     for (std::size_t k = 0; k < result.arms.size(); ++k) {
         const arm_result& arm = result.arms[k];
         const std::string prefix = "richnote.eval.arm." + arm.name + ".";
-        const welford& acc = arm.metrics[obj];
+        const running_stats& acc = arm.metrics[obj];
         registry.gauge_set(prefix + "samples", static_cast<double>(acc.count()));
         registry.gauge_set(prefix + "objective_mean", acc.mean());
         if (acc.count() >= 2) {
@@ -229,7 +229,7 @@ eval_result run_evaluation(const core::experiment_setup& setup, const eval_param
     if (params.trace != nullptr) {
         for (std::size_t k = 0; k < result.arms.size(); ++k) {
             const arm_result& arm = result.arms[k];
-            const welford& acc = arm.metrics[obj];
+            const running_stats& acc = arm.metrics[obj];
             auto event = params.trace->event(static_cast<std::uint32_t>(k),
                                              static_cast<std::uint64_t>(params.seeds + 1),
                                              "eval_arm");

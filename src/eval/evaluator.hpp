@@ -106,7 +106,7 @@ struct arm_result {
     /// Arm that dominated this one (valid when retired).
     std::size_t retired_by = 0;
     /// One accumulator per metric_names() entry, folded in seed order.
-    std::vector<welford> metrics;
+    std::vector<running_stats> metrics;
 };
 
 struct eval_result {

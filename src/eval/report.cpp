@@ -31,7 +31,7 @@ std::string csv_num(double v) {
     return num(v);
 }
 
-void write_metric_json(const welford& acc, const confidence_interval& ci,
+void write_metric_json(const running_stats& acc, const confidence_interval& ci,
                        std::ostream& out) {
     out << "{\"samples\":" << acc.count() << ",\"mean\":" << num(acc.mean())
         << ",\"stddev\":" << num(acc.sample_stddev());
@@ -71,7 +71,7 @@ void write_eval_json(const eval_result& result, const report_options& opts,
         const auto& names = metric_names();
         for (std::size_t m = 0; m < names.size(); ++m) {
             if (m > 0) out << ", ";
-            const welford& acc = arm.metrics[m];
+            const running_stats& acc = arm.metrics[m];
             out << str(names[m]) << ": ";
             write_metric_json(acc, t_interval(acc, result.alpha), out);
         }
@@ -86,7 +86,7 @@ void write_eval_csv(const eval_result& result, const report_options& opts,
     for (const arm_result& arm : result.arms) {
         const auto& names = metric_names();
         for (std::size_t m = 0; m < names.size(); ++m) {
-            const welford& acc = arm.metrics[m];
+            const running_stats& acc = arm.metrics[m];
             const confidence_interval ci = t_interval(acc, result.alpha);
             out << opts.scenario << ',' << arm.name << ',' << names[m] << ','
                 << acc.count() << ',' << csv_num(acc.mean()) << ','

@@ -9,29 +9,6 @@
 
 namespace richnote::eval {
 
-void welford::add(double value) noexcept {
-    if (count_ == 0) {
-        min_ = max_ = value;
-    } else {
-        min_ = std::min(min_, value);
-        max_ = std::max(max_, value);
-    }
-    ++count_;
-    const double delta = value - mean_;
-    mean_ += delta / static_cast<double>(count_);
-    m2_ += delta * (value - mean_);
-}
-
-double welford::sample_variance() const noexcept {
-    return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
-}
-
-double welford::sample_stddev() const noexcept { return std::sqrt(sample_variance()); }
-
-double welford::standard_error() const noexcept {
-    return count_ > 1 ? sample_stddev() / std::sqrt(static_cast<double>(count_)) : 0.0;
-}
-
 namespace {
 
 /// log Γ via the Lanczos approximation (g = 7, n = 9); |rel err| < 1e-13.
@@ -135,7 +112,7 @@ double t_quantile(double p, double df) {
     return upper ? t : -t;
 }
 
-confidence_interval t_interval(const welford& acc, double alpha) {
+confidence_interval t_interval(const running_stats& acc, double alpha) {
     RICHNOTE_REQUIRE(alpha > 0.0 && alpha < 1.0, "t_interval needs alpha in (0,1)");
     confidence_interval ci;
     if (acc.count() < 2) {
@@ -170,7 +147,7 @@ bool sequential_stopper::active(std::size_t arm) const {
     return arms_[arm].active;
 }
 
-const welford& sequential_stopper::accumulator(std::size_t arm) const {
+const running_stats& sequential_stopper::accumulator(std::size_t arm) const {
     RICHNOTE_REQUIRE(arm < arms_.size(), "arm index out of range");
     return arms_[arm].acc;
 }

@@ -1,12 +1,11 @@
 // Statistical core of the Monte-Carlo evaluation harness (DESIGN.md §12).
 //
-// Three pieces, deliberately separable from the experiment machinery so the
+// Two pieces, deliberately separable from the experiment machinery so the
 // estimator and the stopping rule can be property-tested on synthetic
-// streams without running a single simulation:
+// streams without running a single simulation. Both fold samples into
+// common's running_stats (its sample variance and standard error feed the
+// confidence intervals):
 //
-//  * welford            — numerically stable streaming mean / SAMPLE
-//                         variance (the CI needs s², not the population
-//                         variance common::running_stats reports).
 //  * t_quantile         — Student-t inverse CDF, evaluated by bisection on
 //                         the regularized incomplete beta function. Cold
 //                         path (once per CI), so robustness beats speed.
@@ -27,32 +26,9 @@
 #include <string>
 #include <vector>
 
+#include "common/stats.hpp"
+
 namespace richnote::eval {
-
-/// Streaming mean / sample variance (Welford). Fold order is part of the
-/// contract: the evaluator always folds replicas in ascending seed order,
-/// so two runs that saw the same samples produce bit-identical moments.
-class welford {
-public:
-    void add(double value) noexcept;
-
-    std::size_t count() const noexcept { return count_; }
-    double mean() const noexcept { return count_ ? mean_ : 0.0; }
-    /// Unbiased sample variance s² = M2/(n-1); 0 for fewer than two samples.
-    double sample_variance() const noexcept;
-    double sample_stddev() const noexcept;
-    /// Standard error of the mean, s/sqrt(n); 0 for fewer than two samples.
-    double standard_error() const noexcept;
-    double min() const noexcept { return count_ ? min_ : 0.0; }
-    double max() const noexcept { return count_ ? max_ : 0.0; }
-
-private:
-    std::size_t count_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
 
 /// Regularized incomplete beta function I_x(a, b) via the standard
 /// Lentz continued-fraction evaluation; |error| < 1e-12 over the domain
@@ -67,7 +43,7 @@ double t_cdf(double t, double df);
 /// stable function of (p, df) across platforms.
 double t_quantile(double p, double df);
 
-/// Two-sided t confidence interval around a welford mean.
+/// Two-sided t confidence interval around a running mean.
 struct confidence_interval {
     double lo = 0.0;
     double hi = 0.0;
@@ -77,7 +53,7 @@ struct confidence_interval {
 /// mean ± t_{1-α/2, n-1} · s/√n. For n < 2 the interval is the whole real
 /// line in spirit; we return ±infinity half-width so no stopping rule can
 /// ever trigger on it.
-confidence_interval t_interval(const welford& acc, double alpha);
+confidence_interval t_interval(const running_stats& acc, double alpha);
 
 /// Sequential early-stopping rule over K policy arms (MAGPIE-simmer style
 /// statistical cutoff). Feed one sample per (arm, seed) in seed order via
@@ -120,12 +96,12 @@ public:
     std::size_t active_count() const noexcept { return active_count_; }
     /// Index of the current leader among active arms.
     std::size_t leader() const;
-    const welford& accumulator(std::size_t arm) const;
+    const running_stats& accumulator(std::size_t arm) const;
     const params& options() const noexcept { return params_; }
 
 private:
     struct arm_state {
-        welford acc;
+        running_stats acc;
         bool active = true;
     };
 

@@ -44,7 +44,8 @@ enum class profile_slot : std::uint8_t {
     mckp_solve,         ///< core::select_presentations
     forest_predict,     ///< ml::flat_forest batch inference
     forest_fit,         ///< ml::random_forest::fit
-    sim_tick,           ///< sim::simulator round advance
+    sim_tick,           ///< core::round_engine::run_round: every round, batch
+                        ///< and serve (name kept so existing scrapes work)
     slot_count,
 };
 

@@ -1,6 +1,7 @@
-// Simulation time base. RichNote operates in rounds (the paper uses 1-hour
-// rounds, §V-C); the simulator itself is continuous-time with double-precision
-// seconds so sub-round delivery events and queuing delays are exact.
+// Simulation time base. RichNote operates in fixed-period rounds (the paper
+// uses 1-hour rounds, §V-C) driven by core/round_engine; time itself is
+// continuous double-precision seconds so sub-round delivery timestamps and
+// queuing delays are exact.
 #pragma once
 
 namespace richnote::sim {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -19,6 +20,7 @@ TEST(running_stats, empty_accumulator_is_zeroed) {
     EXPECT_EQ(s.count(), 0u);
     EXPECT_EQ(s.mean(), 0.0);
     EXPECT_EQ(s.variance(), 0.0);
+    EXPECT_EQ(s.sample_variance(), 0.0);
     EXPECT_EQ(s.sum(), 0.0);
 }
 
@@ -30,6 +32,8 @@ TEST(running_stats, single_value) {
     EXPECT_DOUBLE_EQ(s.min(), 4.5);
     EXPECT_DOUBLE_EQ(s.max(), 4.5);
     EXPECT_EQ(s.variance(), 0.0);
+    EXPECT_EQ(s.sample_variance(), 0.0);
+    EXPECT_EQ(s.standard_error(), 0.0);
 }
 
 TEST(running_stats, matches_naive_computation) {
@@ -56,6 +60,61 @@ TEST(running_stats, is_numerically_stable_for_large_offsets) {
     const double offset = 1e12;
     for (int i = 0; i < 1000; ++i) s.add(offset + (i % 2));
     EXPECT_NEAR(s.variance(), 0.25, 1e-6);
+}
+
+/// Two-pass scalar reference: exact textbook mean and sample variance.
+struct scalar_reference {
+    double mean = 0.0;
+    double sample_variance = 0.0;
+    double min = 0.0;
+    double max = 0.0;
+};
+
+scalar_reference reference_moments(const std::vector<double>& xs) {
+    scalar_reference ref;
+    if (xs.empty()) return ref;
+    double sum = 0.0;
+    ref.min = ref.max = xs.front();
+    for (double x : xs) {
+        sum += x;
+        ref.min = std::min(ref.min, x);
+        ref.max = std::max(ref.max, x);
+    }
+    ref.mean = sum / static_cast<double>(xs.size());
+    if (xs.size() < 2) return ref;
+    double ss = 0.0;
+    for (double x : xs) ss += (x - ref.mean) * (x - ref.mean);
+    ref.sample_variance = ss / static_cast<double>(xs.size() - 1);
+    return ref;
+}
+
+TEST(running_stats, sample_moments_match_scalar_reference_on_200_seeded_streams) {
+    for (std::uint64_t seed = 0; seed < 200; ++seed) {
+        richnote::rng gen(seed * 977 + 11);
+        const std::size_t n = 2 + static_cast<std::size_t>(gen.uniform(0, 400));
+        std::vector<double> xs;
+        xs.reserve(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            // Mix of scales and signs, including an offset that stresses
+            // catastrophic cancellation in naive sum-of-squares formulas.
+            const double offset = (seed % 3 == 0) ? 1e6 : 0.0;
+            xs.push_back(offset + gen.normal(5.0, 40.0) * gen.uniform(0.1, 3.0));
+        }
+        running_stats acc;
+        for (double x : xs) acc.add(x);
+        const scalar_reference ref = reference_moments(xs);
+        ASSERT_EQ(acc.count(), xs.size());
+        const double scale = std::max(1.0, std::fabs(ref.mean));
+        EXPECT_NEAR(acc.mean(), ref.mean, 1e-9 * scale) << "seed " << seed;
+        EXPECT_NEAR(acc.sample_variance(), ref.sample_variance,
+                    1e-6 * std::max(1.0, ref.sample_variance))
+            << "seed " << seed;
+        EXPECT_DOUBLE_EQ(acc.min(), ref.min);
+        EXPECT_DOUBLE_EQ(acc.max(), ref.max);
+        EXPECT_NEAR(acc.standard_error(),
+                    std::sqrt(ref.sample_variance / static_cast<double>(n)),
+                    1e-6 * std::max(1.0, std::sqrt(ref.sample_variance)));
+    }
 }
 
 TEST(running_stats, merge_equals_sequential) {

@@ -7,7 +7,8 @@
 //   - Q(t) and P(t) stay bounded.
 // Plus the determinism guarantees at experiment scale: a crash-only fault
 // plan is lossless (identical to the fault-free run), and a full-chaos run
-// is bit-identical however users are sharded across worker threads.
+// is bit-identical however users are sharded across worker threads — and
+// whether it is replayed in batch or served from a concurrently fed wire.
 #include "core/broker.hpp"
 #include "core/experiment.hpp"
 
@@ -15,10 +16,14 @@
 
 #include <cmath>
 #include <memory>
+#include <thread>
+#include <vector>
 
 #include "core/presentation.hpp"
 #include "core/scheduler.hpp"
+#include "core/service.hpp"
 #include "core/utility.hpp"
+#include "core/wire.hpp"
 #include "faults/fault_plan.hpp"
 #include "trace/generator.hpp"
 
@@ -303,6 +308,52 @@ TEST_F(chaos_experiment, chaos_degrades_delivery_but_counters_surface_it) {
     // collapse — but no more than the fault-free run.
     EXPECT_GT(chaotic.delivery_ratio, 0.8);
     EXPECT_LE(chaotic.delivery_ratio, clean.delivery_ratio + 1e-9);
+}
+
+TEST_F(chaos_experiment, served_full_chaos_matches_the_batch_run) {
+    // The same chaos through notification_service: two producer threads
+    // race the whole workload onto the admission ring, and the rounds run
+    // on a sharded pool that is resharded halfway. The round engine applies
+    // the fault plan identically in both modes, so the served result equals
+    // the batch one bit for bit.
+    const auto params = chaos_params();
+    const auto batch = run_experiment(*setup_, params);
+
+    richnote::core::service_params sp;
+    sp.experiment = params;
+    sp.worker_threads = 3;
+    richnote::core::notification_service svc(*setup_, sp);
+    const auto& per_user = setup_->world().notifications().per_user;
+    std::vector<std::thread> producers;
+    for (std::size_t half = 0; half < 2; ++half) {
+        producers.emplace_back([&, half] {
+            for (std::size_t u = half; u < per_user.size(); u += 2) {
+                for (const auto& n : per_user[u]) {
+                    EXPECT_EQ(svc.ingest_line(richnote::core::format_wire_line(n)),
+                              richnote::core::notification_service::ingest_status::accepted);
+                }
+            }
+        });
+    }
+    for (auto& t : producers) t.join();
+    svc.run_rounds(batch.rounds_run / 2);
+    svc.reshard(2);
+    svc.run_rounds(batch.rounds_run - batch.rounds_run / 2);
+
+    const auto served = svc.summarize();
+    EXPECT_EQ(served.total_utility, batch.total_utility);
+    EXPECT_EQ(served.delivered_mb, batch.delivered_mb);
+    EXPECT_EQ(served.energy_kj, batch.energy_kj);
+    EXPECT_EQ(served.mean_delay_min, batch.mean_delay_min);
+    EXPECT_EQ(served.final_queue_items, batch.final_queue_items);
+    EXPECT_EQ(served.faults.faults_injected, batch.faults.faults_injected);
+    EXPECT_EQ(served.faults.transfer_retries, batch.faults.transfer_retries);
+    EXPECT_EQ(served.faults.dead_lettered, batch.faults.dead_lettered);
+    EXPECT_EQ(served.faults.duplicates_suppressed, batch.faults.duplicates_suppressed);
+    EXPECT_EQ(served.faults.crash_restarts, batch.faults.crash_restarts);
+    EXPECT_EQ(served.faults.partial_bytes, batch.faults.partial_bytes);
+    EXPECT_EQ(served.faults.resumed_bytes, batch.faults.resumed_bytes);
+    EXPECT_GT(served.faults.crash_restarts, 0u);
 }
 
 } // namespace

@@ -1,6 +1,5 @@
 // Property tests for the evaluation statistics core (DESIGN.md §12):
-// the Welford accumulator against a two-pass scalar reference on many
-// seeded streams, the Student-t quantile against table values, and the
+// the Student-t quantile against table values, and the
 // sequential stopping rule against an oracle on synthetic Gaussian arms —
 // at alpha = 0.01 the true-best arm must never be retired, while clearly
 // dominated arms must retire well before the sample budget.
@@ -24,76 +23,6 @@ using richnote::eval::sequential_stopper;
 using richnote::eval::t_cdf;
 using richnote::eval::t_interval;
 using richnote::eval::t_quantile;
-using richnote::eval::welford;
-
-/// Two-pass scalar reference: exact textbook mean and sample variance.
-struct scalar_reference {
-    double mean = 0.0;
-    double sample_variance = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-};
-
-scalar_reference reference_moments(const std::vector<double>& xs) {
-    scalar_reference ref;
-    if (xs.empty()) return ref;
-    double sum = 0.0;
-    ref.min = ref.max = xs.front();
-    for (double x : xs) {
-        sum += x;
-        ref.min = std::min(ref.min, x);
-        ref.max = std::max(ref.max, x);
-    }
-    ref.mean = sum / static_cast<double>(xs.size());
-    if (xs.size() < 2) return ref;
-    double ss = 0.0;
-    for (double x : xs) ss += (x - ref.mean) * (x - ref.mean);
-    ref.sample_variance = ss / static_cast<double>(xs.size() - 1);
-    return ref;
-}
-
-TEST(welford_accumulator, matches_scalar_reference_on_200_seeded_streams) {
-    for (std::uint64_t seed = 0; seed < 200; ++seed) {
-        richnote::rng gen(seed * 977 + 11);
-        const std::size_t n = 2 + static_cast<std::size_t>(gen.uniform(0, 400));
-        std::vector<double> xs;
-        xs.reserve(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            // Mix of scales and signs, including an offset that stresses
-            // catastrophic cancellation in naive sum-of-squares formulas.
-            const double offset = (seed % 3 == 0) ? 1e6 : 0.0;
-            xs.push_back(offset + gen.normal(5.0, 40.0) * gen.uniform(0.1, 3.0));
-        }
-        welford acc;
-        for (double x : xs) acc.add(x);
-        const scalar_reference ref = reference_moments(xs);
-        ASSERT_EQ(acc.count(), xs.size());
-        const double scale = std::max(1.0, std::fabs(ref.mean));
-        EXPECT_NEAR(acc.mean(), ref.mean, 1e-9 * scale) << "seed " << seed;
-        EXPECT_NEAR(acc.sample_variance(), ref.sample_variance,
-                    1e-6 * std::max(1.0, ref.sample_variance))
-            << "seed " << seed;
-        EXPECT_DOUBLE_EQ(acc.min(), ref.min);
-        EXPECT_DOUBLE_EQ(acc.max(), ref.max);
-        EXPECT_NEAR(acc.standard_error(),
-                    std::sqrt(ref.sample_variance / static_cast<double>(n)),
-                    1e-6 * std::max(1.0, std::sqrt(ref.sample_variance)));
-    }
-}
-
-TEST(welford_accumulator, degenerate_counts) {
-    welford acc;
-    EXPECT_EQ(acc.count(), 0u);
-    EXPECT_EQ(acc.mean(), 0.0);
-    EXPECT_EQ(acc.sample_variance(), 0.0);
-    acc.add(42.0);
-    EXPECT_EQ(acc.count(), 1u);
-    EXPECT_EQ(acc.mean(), 42.0);
-    EXPECT_EQ(acc.sample_variance(), 0.0);
-    EXPECT_EQ(acc.standard_error(), 0.0);
-    EXPECT_EQ(acc.min(), 42.0);
-    EXPECT_EQ(acc.max(), 42.0);
-}
 
 TEST(t_distribution, quantile_matches_table_values) {
     // Standard two-sided 95% critical values (p = 0.975).
@@ -129,7 +58,7 @@ TEST(t_distribution, incomplete_beta_boundaries) {
 }
 
 TEST(t_distribution, interval_is_mean_plus_minus_t_times_se) {
-    welford acc;
+    richnote::running_stats acc;
     for (double x : {3.0, 5.0, 4.0, 6.0, 2.0, 4.5, 3.5, 5.5}) acc.add(x);
     const confidence_interval ci = t_interval(acc, 0.05);
     const double t = t_quantile(0.975, static_cast<double>(acc.count() - 1));
@@ -139,7 +68,7 @@ TEST(t_distribution, interval_is_mean_plus_minus_t_times_se) {
 }
 
 TEST(t_distribution, interval_is_infinite_below_two_samples) {
-    welford acc;
+    richnote::running_stats acc;
     acc.add(1.0);
     const confidence_interval ci = t_interval(acc, 0.05);
     EXPECT_TRUE(std::isinf(ci.half_width));

@@ -32,7 +32,7 @@ using richnote::eval::run_evaluation;
 using richnote::eval::scenario_names;
 using richnote::eval::scenario_pack;
 using richnote::eval::scenario_request;
-using richnote::eval::welford;
+using richnote::running_stats;
 using richnote::eval::write_eval_csv;
 using richnote::eval::write_eval_json;
 
@@ -74,9 +74,9 @@ eval_params small_params(const scenario_pack& pack, std::size_t seeds,
 
 /// Scalar reference: run every (seed, arm) replica sequentially and fold —
 /// no pool, no waves, no stopping. What the evaluator must agree with.
-std::vector<std::vector<welford>> scalar_reference(const experiment_setup& setup,
+std::vector<std::vector<running_stats>> scalar_reference(const experiment_setup& setup,
                                                    const eval_params& ep) {
-    std::vector<std::vector<welford>> acc(ep.arms.size());
+    std::vector<std::vector<running_stats>> acc(ep.arms.size());
     for (auto& a : acc) a.resize(metric_names().size());
     for (std::size_t s = 0; s < ep.seeds; ++s) {
         for (std::size_t k = 0; k < ep.arms.size(); ++k) {
@@ -107,8 +107,8 @@ TEST(evaluator, matches_single_threaded_scalar_reference) {
     EXPECT_EQ(result.replicas_used, ep.seeds * ep.arms.size());
     for (std::size_t k = 0; k < reference.size(); ++k) {
         for (std::size_t m = 0; m < metric_names().size(); ++m) {
-            const welford& got = result.arms[k].metrics[m];
-            const welford& want = reference[k][m];
+            const running_stats& got = result.arms[k].metrics[m];
+            const running_stats& want = reference[k][m];
             ASSERT_EQ(got.count(), want.count());
             // Bit-identical, not merely close: same samples, same fold order.
             EXPECT_EQ(got.mean(), want.mean())
