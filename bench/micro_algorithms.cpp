@@ -1,16 +1,20 @@
 // Micro-benchmarks (google-benchmark) for the hot algorithmic kernels:
 // the MCKP greedy (paper §IV claims O(n + k log n)), the indexed heap and
 // Random Forest scoring. These back the paper's complexity claim with
-// measured scaling rather than reproducing a figure.
+// measured scaling rather than reproducing a figure. bm_parse_wire_line
+// times the `richnote serve` ingest decoder over rendered trace lines.
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <vector>
 
 #include "common/indexed_heap.hpp"
 #include "common/rng.hpp"
 #include "core/mckp.hpp"
 #include "core/presentation.hpp"
+#include "core/wire.hpp"
 #include "ml/random_forest.hpp"
+#include "trace/generator.hpp"
 
 namespace {
 
@@ -94,6 +98,31 @@ void bm_pareto_prune(benchmark::State& state) {
     }
 }
 BENCHMARK(bm_pareto_prune)->Range(16, 4096);
+
+void bm_parse_wire_line(benchmark::State& state) {
+    // Every notification of a small generated workload, rendered as the
+    // NDJSON lines a producer POSTs to /ingest.
+    trace::workload_params params;
+    params.user_count = 50;
+    const trace::workload world(params, 17);
+    std::vector<std::string> lines;
+    std::size_t bytes = 0;
+    for (const trace::notification& n : world.notifications().flatten()) {
+        lines.push_back(core::format_wire_line(n));
+        bytes += lines.back().size();
+    }
+    trace::notification out;
+    for (auto _ : state) {
+        for (const std::string& line : lines) {
+            const bool ok = core::parse_wire_line(line, out);
+            benchmark::DoNotOptimize(ok);
+            benchmark::DoNotOptimize(out.id);
+        }
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * bytes));
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * lines.size()));
+}
+BENCHMARK(bm_parse_wire_line);
 
 } // namespace
 

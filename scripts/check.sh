@@ -3,7 +3,7 @@
 # sequence CI and reviewers use. Run before every push.
 #
 # Usage: scripts/check.sh [--sanitize | --tsan | --bench | --trace | --serve
-#                          | --eval]
+#                          | --eval | --fuzz]
 #   --sanitize   separate build-asan/ tree with -DRICHNOTE_SANITIZE=ON
 #                (AddressSanitizer + UBSan). This is how the chaos soak
 #                (tests/core/test_chaos_soak.cpp) is meant to be exercised:
@@ -32,6 +32,12 @@
 #                determinism) under BOTH ASan+UBSan and TSan, then smokes
 #                `richnote evaluate` end to end and requires byte-identical
 #                JSON/CSV reports across worker counts.
+#   --fuzz       differential mutation tests of the untrusted-input
+#                decoders (ctest label `fuzz`, today the core/wire NDJSON
+#                decoder against its reference) in the build-asan/ tree
+#                with AddressSanitizer + UBSan (float-cast-overflow
+#                included, reports fatal), so an out-of-range cast or a
+#                read past a line's end fails the run.
 #   --trace      observability smoke: runs the CLI twice at the same seed
 #                with trace/metrics/manifest outputs enabled, fails unless
 #                the two NDJSON streams are byte-identical, every line
@@ -460,6 +466,17 @@ if [ "${1:-}" = "--eval" ]; then
   cmp "$OUT_DIR/eval_t1.csv" "$OUT_DIR/eval_t4.csv" \
     || { echo "[check] FAIL: evaluate CSV differs across worker counts" >&2; exit 1; }
   echo "[check] --eval passed: sanitizer-clean and byte-deterministic"
+  exit 0
+fi
+
+if [ "${1:-}" = "--fuzz" ]; then
+  BUILD_DIR=build-asan
+  cmake -B "$BUILD_DIR" -S . -DRICHNOTE_SANITIZE=ON >/dev/null
+  cmake --build "$BUILD_DIR" -j "$(nproc)" --target test_fuzz
+  # UBSan reports are fatal here: a fuzz run that merely prints one passes.
+  UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    ctest --test-dir "$BUILD_DIR" -L fuzz --output-on-failure -j "$(nproc)"
+  echo "[check] --fuzz passed: decoders agree with their references, sanitizer-clean"
   exit 0
 fi
 

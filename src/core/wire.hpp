@@ -2,12 +2,12 @@
 //
 // `richnote serve` admits notifications over HTTP as newline-delimited
 // flat JSON objects — one notification per line, the same flat-object
-// dialect the decision-trace plane already speaks (obs/trace_report's
-// parser is reused verbatim). A line carries the notification identity,
-// routing and feature fields plus the synthetic ground-truth engagement
-// labels, so a recorded workload can be replayed over the wire and produce
-// BIT-IDENTICAL metrics to the in-process batch loop: numbers are printed
-// with %.17g (obs/json_util), which round-trips every finite double.
+// dialect the decision-trace plane speaks. A line carries the notification
+// identity, routing and feature fields plus the synthetic ground-truth
+// engagement labels, so a recorded workload can be replayed over the wire
+// and produce BIT-IDENTICAL metrics to the in-process batch loop: numbers
+// are printed with %.17g (obs/json_util), which round-trips every finite
+// double.
 //
 //   {"id":17,"user":3,"type":"friend_feed","track":204,"created_at":3600,
 //    "social_tie":0.43,"track_pop":81,"album_pop":70,"artist_pop":64,
@@ -18,6 +18,20 @@
 // wrongly-typed required fields are errors with a reason) and lenient
 // about extras (unknown keys are ignored, label fields default to
 // false/0), so a foreign producer only needs the routing + feature core.
+//
+// The decoder is its own single pass, written straight into the
+// notification with no heap allocation on an accepted line; it accepts
+// exactly the grammar of obs::parse_flat_json (trace_report's parser) but
+// does not call it. Numbers are a maximal [-+.eE0-9] run that strtod would
+// consume whole: a leading '+' is accepted, 1e999 reads as inf and 1e-400
+// as 0. The integer fields id, user and track are exact: a token of digits
+// only is read as a 64-bit integer (past 2^64 - 1 it is a bad field); any
+// other numeric form must be an integral double no larger than 2^53.
+//
+// Errors, in precedence order: "bad json" for any structural fault
+// anywhere on the line; then the first "bad field: <key>" in document
+// order (duplicate keys are each checked, the last good one wins); then
+// "missing field: <key>" in the order id, user, type, track, created_at.
 #pragma once
 
 #include <cstdint>

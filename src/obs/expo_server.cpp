@@ -402,13 +402,18 @@ void expo_server::handle_connection(int fd) {
         return;
     }
 
-    std::string body = buffer.substr(head_end + 4);
-    while (body.size() < content_length) {
-        const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+    // The body lands straight in a string of its final size: whatever the
+    // head read already pulled in, then recv into the remaining span, so a
+    // large POST takes a handful of syscalls. Pipelined bytes past
+    // Content-Length are never read into it.
+    std::string body(content_length, '\0');
+    std::size_t have = std::min(buffer.size() - (head_end + 4), content_length);
+    buffer.copy(body.data(), have, head_end + 4);
+    while (have < content_length) {
+        const ssize_t n = ::recv(fd, body.data() + have, content_length - have, 0);
         if (n <= 0) return; // disconnect or timeout mid-body: drop quietly
-        body.append(chunk, static_cast<std::size_t>(n));
+        have += static_cast<std::size_t>(n);
     }
-    body.resize(content_length); // ignore pipelined bytes past the request
 
     const post_result result = handler(body);
     send_all(fd, http_response(result.status, "application/json", result.body));

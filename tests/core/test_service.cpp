@@ -236,6 +236,23 @@ TEST_F(service_test, duplicate_ids_are_suppressed_idempotently) {
     EXPECT_EQ(svc.metrics().user(3).arrived, 1u);
 }
 
+TEST_F(service_test, ids_past_2_to_the_53_stay_distinct) {
+    // 2^53 and 2^53 + 1 are one double apart from colliding: decoded
+    // through a double they would be one id, and admission would suppress
+    // the second as a duplicate.
+    notification_service svc(*setup_, serve_params(2));
+    notification n = setup_->world().notifications().per_user[3][0];
+    for (const std::uint64_t id : {std::uint64_t{1} << 53, (std::uint64_t{1} << 53) + 1}) {
+        n.id = id;
+        ASSERT_EQ(svc.ingest_line(richnote::core::format_wire_line(n)),
+                  ingest_status::accepted);
+    }
+    svc.run_rounds(200);
+    EXPECT_EQ(svc.counters().admitted, 2u);
+    EXPECT_EQ(svc.user_broker(3).duplicates_suppressed(), 0u);
+    EXPECT_EQ(svc.metrics().user(3).arrived, 2u);
+}
+
 TEST_F(service_test, progress_counts_arrivals_after_dedup) {
     // /progress and /metrics are filled from one totals() walk, so a
     // replayed id the brokers suppress is counted in neither: arrived_total

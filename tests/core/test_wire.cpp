@@ -153,6 +153,81 @@ TEST(wire_codec, unknown_keys_are_ignored_and_labels_default) {
     EXPECT_EQ(out.clicked_at, 0.0);
 }
 
+TEST(wire_codec, integer_fields_are_exact_64_bit_values) {
+    // Ids past 2^53 are not doubles: each decodes to itself.
+    for (const std::uint64_t id : {(std::uint64_t{1} << 53) + 1,
+                                   std::numeric_limits<std::uint64_t>::max()}) {
+        notification n = sample();
+        n.id = id;
+        notification out;
+        std::string error;
+        ASSERT_TRUE(parse_wire_line(format_wire_line(n), out, &error)) << error;
+        EXPECT_EQ(out.id, id);
+    }
+    notification n = sample();
+    n.recipient = 0xffffffffu;
+    n.track = 0xffffffffu;
+    notification out;
+    ASSERT_TRUE(parse_wire_line(format_wire_line(n), out));
+    EXPECT_EQ(out.recipient, 0xffffffffu);
+    EXPECT_EQ(out.track, 0xffffffffu);
+}
+
+TEST(wire_codec, integer_fields_past_their_range_are_bad_fields) {
+    const std::string tail =
+        R"(,"user":0,"type":"friend_feed","track":1,"created_at":0})";
+    const struct {
+        std::string line;
+        const char* reason;
+    } cases[] = {
+        // 2^64: one past UINT64_MAX.
+        {R"({"id":18446744073709551616)" + tail, "bad field: id"},
+        {R"({"id":99999999999999999999999)" + tail, "bad field: id"},
+        // A non-digit form is a double, trusted only up to 2^53.
+        {R"({"id":1.8446744073709552e19)" + tail, "bad field: id"},
+        {R"({"id":9007199254740994.0)" + tail, "bad field: id"},
+        {R"({"id":1,"user":4294967296,"type":"friend_feed","track":1,"created_at":0})",
+         "bad field: user"},
+        {R"({"id":1,"user":0,"type":"friend_feed","track":18446744073709551616,"created_at":0})",
+         "bad field: track"},
+    };
+    for (const auto& c : cases) {
+        notification out;
+        std::string error;
+        EXPECT_FALSE(parse_wire_line(c.line, out, &error)) << c.line;
+        EXPECT_EQ(error, c.reason) << c.line;
+    }
+    // Other numeric forms up to 2^53 keep today's integral-double rule.
+    for (const char* id : {"9007199254740992.0", "+5", "1e3", "12.0", "-0"}) {
+        notification out;
+        std::string error;
+        EXPECT_TRUE(parse_wire_line(std::string(R"({"id":)") + id + tail, out, &error))
+            << id << ": " << error;
+    }
+}
+
+TEST(wire_codec, bad_json_outranks_bad_fields_and_bad_fields_go_in_order) {
+    const struct {
+        const char* line;
+        const char* reason;
+    } cases[] = {
+        // A structural fault after a bad field still makes the line bad json.
+        {R"({"id":-1,"user":0,"type":"friend_feed","track":1,"created_at":0} x)", "bad json"},
+        {R"({"id":-1,"user":0,"extra":+-1})", "bad json"},
+        // The first bad field in document order is named, before any missing one.
+        {R"({"type":"spam","id":-1})", "bad field: type"},
+        {R"({"id":"1","id":1,"user":0,"type":"friend_feed","track":1,"created_at":0})",
+         "bad field: id"},
+        {R"({"created_at":0})", "missing field: id"},
+    };
+    for (const auto& c : cases) {
+        notification out;
+        std::string error;
+        EXPECT_FALSE(parse_wire_line(c.line, out, &error)) << c.line;
+        EXPECT_EQ(error, c.reason) << c.line;
+    }
+}
+
 TEST(reshard_body, bare_integer_and_threads_object_parse) {
     std::uint64_t threads = 0;
     EXPECT_TRUE(parse_thread_count("3", threads));

@@ -7,12 +7,14 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <set>
@@ -43,6 +45,32 @@ std::string http_get(std::uint16_t port, const std::string& request) {
     EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
     EXPECT_EQ(::send(fd, request.data(), request.size(), 0),
               static_cast<ssize_t>(request.size()));
+    std::string response;
+    char chunk[2048];
+    ssize_t n = 0;
+    while ((n = ::recv(fd, chunk, sizeof chunk, 0)) > 0)
+        response.append(chunk, static_cast<std::size_t>(n));
+    ::close(fd);
+    return response;
+}
+
+/// Sends `pieces` as separate writes (no Nagle coalescing, a short pause
+/// between them) and returns the raw response.
+std::string http_send_pieces(std::uint16_t port, const std::vector<std::string>& pieces) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(fd, 0);
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+    for (const std::string& piece : pieces) {
+        EXPECT_EQ(::send(fd, piece.data(), piece.size(), MSG_NOSIGNAL),
+                  static_cast<ssize_t>(piece.size()));
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
     std::string response;
     char chunk[2048];
     ssize_t n = 0;
@@ -295,6 +323,35 @@ TEST(expo_server_suite, post_handler_status_is_passed_through) {
               std::string::npos);
     EXPECT_NE(http_post(server.port(), "/ingest", "full").find("503"),
               std::string::npos);
+}
+
+TEST(expo_server_suite, post_bodies_arrive_whole_across_writes_and_stop_at_length) {
+    expo_server server(0);
+    server.set_post_handler("/echo", [](const std::string& body) {
+        return expo_server::post_result{200, body};
+    });
+    std::string body;
+    for (int i = 0; body.size() < 5000; ++i) body += "line " + std::to_string(i) + "\n";
+    const std::string head = "POST /echo HTTP/1.1\r\nHost: x\r\nContent-Length: " +
+                             std::to_string(body.size()) + "\r\n\r\n";
+
+    // The head and then the body trickle in over many small writes.
+    std::vector<std::string> pieces = {head.substr(0, 10), head.substr(10)};
+    for (std::size_t at = 0; at < body.size(); at += 97) pieces.push_back(body.substr(at, 97));
+    const std::string trickled = http_send_pieces(server.port(), pieces);
+    EXPECT_NE(trickled.find("200 OK"), std::string::npos);
+    EXPECT_EQ(body_of(trickled), body);
+
+    // Bytes pipelined past Content-Length are not part of the body, whether
+    // they arrive with the head or with the body's tail.
+    const std::string next = "GET /healthz HTTP/1.1\r\n\r\n";
+    for (const auto& split : {std::vector<std::string>{head + body + next},
+                              std::vector<std::string>{head + body.substr(0, 100),
+                                                       body.substr(100) + next}}) {
+        const std::string r = http_send_pieces(server.port(), split);
+        EXPECT_NE(r.find("200 OK"), std::string::npos);
+        EXPECT_EQ(body_of(r), body);
+    }
 }
 
 TEST(expo_server_suite, serves_concurrent_connections) {
