@@ -22,11 +22,21 @@
 //     hold the whole burst, so the number is the parse+enqueue cost, not a
 //     backpressure artifact (any backpressure fails the run loudly).
 //
-//  3. Round publish: after every timed round, what `richnote serve`
-//     republishes — export_service_metrics over one metrics().totals()
-//     fleet walk, then the Prometheus text render of that registry.
+//  3. Publish: after every timed round, what the first `richnote serve`
+//     scrape after a round renders — export_service_metrics over one
+//     metrics().totals() fleet walk, then the Prometheus text render of
+//     that registry (later scrapes in the same round reuse the walk).
 //     Reports publish_ms, the median per round; it is timed apart from the
 //     round itself, so service_rounds_per_sec stays the bare round loop.
+//
+//  4. Catch-up: every broker past the training users has been idle since
+//     the fleet was built. After catch_up_idle_rounds more rounds, one
+//     wire line each wakes 1000 of them, spread over the fleet, and the
+//     round that catches them up is timed; five times, with fresh users
+//     each time. Reports catch_up_ns_per_round: the median of that round's
+//     wall time over the deferred rounds it replayed (the caught_up_rounds
+//     delta). The round's own admissions and the still-active training
+//     users ride along, so it slightly overstates the replay.
 //
 // Fleet construction is timed separately (fleet_build_sec) because elastic
 // resharding pays it again on every reshard.
@@ -38,6 +48,7 @@
 // Usage: perf_service [train_users=200] [users=1000000] [rounds=10]
 //                     [ingest_msgs=200000] [threads=1] [seed=1] [trees=10]
 //                     [budget=20] [queue=524288] [json=PATH] [manifest=PATH]
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -62,6 +73,12 @@ using clock_type = std::chrono::steady_clock;
 double seconds_since(clock_type::time_point start) {
     return std::chrono::duration<double>(clock_type::now() - start).count();
 }
+
+/// Phase 4: rounds the fleet idles before each catch-up round, lagging
+/// brokers each catch-up round wakes, and repetitions (median reported).
+constexpr std::uint64_t catch_up_idle_rounds = 1000;
+constexpr std::size_t catch_up_users = 1000;
+constexpr std::size_t catch_up_reps = 5;
 
 } // namespace
 
@@ -182,6 +199,42 @@ int main(int argc, char** argv) try {
     }
     svc.run_round(); // drain the burst so the final counters balance
 
+    // Phase 4: catch-up (see the header). The woken users lie past the
+    // training users, and each repetition wakes a fresh set, so no round
+    // has run their brokers yet.
+    double catch_up_ns_per_round = 0.0;
+    const std::size_t lagging = std::min(catch_up_users, users - std::min(users, train_users));
+    if (lagging > 0 && (users - train_users) / lagging >= catch_up_reps) {
+        std::cerr << "[perf] " << catch_up_reps << " x (idle " << catch_up_idle_rounds
+                  << " rounds, time the catch-up of " << lagging << " lagging brokers)...\n";
+        const std::size_t stride = (users - train_users) / lagging;
+        std::vector<double> ns_per_round;
+        for (std::size_t rep = 0; rep < catch_up_reps; ++rep) {
+            svc.run_rounds(catch_up_idle_rounds);
+            for (std::size_t i = 0; i < lagging; ++i) {
+                trace::notification n = flat[i % flat.size()];
+                n.recipient = static_cast<trace::user_id>(train_users + i * stride + rep);
+                n.id = (std::uint64_t{1} << 40) + rep * lagging + i; // past every trace id
+                n.created_at = 0.0;
+                if (svc.ingest(n) != core::notification_service::ingest_status::accepted) {
+                    std::cerr << "error: catch-up ingest rejected\n";
+                    return 1;
+                }
+            }
+            const std::uint64_t owed_before = svc.counters().caught_up_rounds;
+            const auto catch_up_start = clock_type::now();
+            svc.run_round();
+            const double wall = seconds_since(catch_up_start);
+            const std::uint64_t owed = svc.counters().caught_up_rounds - owed_before;
+            ns_per_round.push_back(wall * 1e9 / static_cast<double>(owed));
+            std::cerr << "[perf] caught up " << owed << " rounds in " << wall * 1e3
+                      << " ms: " << ns_per_round.back() << " ns per owed round\n";
+        }
+        catch_up_ns_per_round = richnote::percentile(ns_per_round, 0.5);
+    } else {
+        std::cerr << "[perf] users= leaves too few lagging brokers; catch-up not measured\n";
+    }
+
     const std::string uarch = std::string(ml::simd::arch_name()) + "/" +
                               ml::simd::isa_name(ml::simd::active_isa());
 
@@ -207,6 +260,7 @@ int main(int argc, char** argv) try {
          << ", \"active_users\": " << active_users
          << ", \"caught_up_rounds\": " << caught_up_rounds
          << ", \"publish_ms\": " << publish_ms
+         << ", \"catch_up_ns_per_round\": " << catch_up_ns_per_round
          << ", \"admitted\": " << after.admitted << "},\n"
          << "  \"ingest\": {\"messages\": " << burst
          << ", \"wall_sec\": " << ingest_wall
@@ -238,6 +292,7 @@ int main(int argc, char** argv) try {
         manifest.add_timing("active_users", active_users);
         manifest.add_timing("caught_up_rounds", static_cast<double>(caught_up_rounds));
         manifest.add_timing("publish_ms", publish_ms);
+        manifest.add_timing("catch_up_ns_per_round", catch_up_ns_per_round);
         manifest.add_timing("ingest_msgs_per_sec", ingest_msgs_per_sec);
         manifest.write_file(cfg.get_string("manifest", ""));
         std::cerr << "[perf] wrote manifest to " << cfg.get_string("manifest", "") << '\n';

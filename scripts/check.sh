@@ -2,8 +2,8 @@
 # Correctness gate: configure, build and run the full test suite — the same
 # sequence CI and reviewers use. Run before every push.
 #
-# Usage: scripts/check.sh [--sanitize | --tsan | --bench | --trace | --serve
-#                          | --eval | --fuzz]
+# Usage: scripts/check.sh [--sanitize | --tsan | --release | --bench | --trace
+#                          | --serve | --eval | --fuzz]
 #   --sanitize   separate build-asan/ tree with -DRICHNOTE_SANITIZE=ON
 #                (AddressSanitizer + UBSan). This is how the chaos soak
 #                (tests/core/test_chaos_soak.cpp) is meant to be exercised:
@@ -11,8 +11,15 @@
 #                and integer op checked.
 #   --tsan       separate build-tsan/ tree with -DRICHNOTE_TSAN=ON
 #                (ThreadSanitizer). Runs the suites that exercise the
-#                worker-thread paths: parallel forest fitting (test_ml) and
-#                the sharded round loop + trace merge (test_integration).
+#                worker-thread paths: parallel forest fitting (test_ml), the
+#                sharded round loop + trace merge (test_integration), and
+#                the exposition server's handler pool, scrape-time refresh
+#                hook and lifecycle stripes (test_obs's expo_server and
+#                lifecycle suites).
+#   --release    separate build-release/ tree with -DCMAKE_BUILD_TYPE=Release
+#                (-O3, warnings still errors), then the full suite on it.
+#                -O3 runs GCC diagnostics (-Wrestrict, -Wstringop-*) that
+#                the default RelWithDebInfo tree never triggers.
 #   --bench      perf smoke + regression gate: runs scripts/bench.sh --quick
 #                (small fixed sizes), fails unless the emitted BENCH JSON
 #                parses and carries the expected sections, re-runs the
@@ -136,7 +143,7 @@ for section in ("round_loop", "round_loop_mt4", "inference", "service", "eval",
         sys.exit(f"BENCH JSON missing section: {section}")
     if doc[section].get("schema") != "richnote-bench-v1":
         sys.exit(f"BENCH JSON section {section} has wrong schema tag")
-for field in ("service_rounds_per_sec", "publish_ms"):
+for field in ("service_rounds_per_sec", "publish_ms", "catch_up_ns_per_round"):
     if doc["service"]["service"].get(field, 0) <= 0:
         sys.exit(f"BENCH JSON service section has non-positive {field}")
 # user_rounds_per_sec counts deferred idle rounds too, so the service
@@ -293,6 +300,23 @@ for needle in ("richnote_service_ingest_accepted_total 8",
                'richnote_svc_http_duration_us_bucket{endpoint="round"',
                "# HELP richnote_svc_ingest_rejected_backpressure"):
     assert needle in metrics, f"missing from /metrics: {needle}"
+
+# Publish on scrape: /metrics is rendered when scraped, from totals taken
+# at most once per round, so two scrapes with no round between them agree
+# on every run aggregate, and /progress reports the same round.
+def run_lines(text):
+    return [line for line in text.splitlines()
+            if line.startswith(("richnote_delivery_", "richnote_run_"))]
+status, again = get("/metrics")
+assert status == 200
+assert run_lines(again) and run_lines(again) == run_lines(metrics), \
+    "two scrapes without a round between them disagree"
+status, body = get("/progress")
+rounds_total = [line for line in again.splitlines()
+                if line.startswith("richnote_service_rounds_total ")]
+assert rounds_total, "missing from /metrics: richnote_service_rounds_total"
+assert json.loads(body)["round"] == int(rounds_total[0].split()[1]) == 4, \
+    (body, rounds_total)
 
 # An at-least-once replay of id 1: admitted again, suppressed by the
 # broker, so /progress must count arrivals after dedup, exactly as the
@@ -480,12 +504,21 @@ if [ "${1:-}" = "--fuzz" ]; then
   exit 0
 fi
 
+if [ "${1:-}" = "--release" ]; then
+  BUILD_DIR=build-release
+  cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
+  cmake --build "$BUILD_DIR" -j "$(nproc)"
+  ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
+  exit 0
+fi
+
 if [ "${1:-}" = "--tsan" ]; then
   BUILD_DIR=build-tsan
   cmake -B "$BUILD_DIR" -S . -DRICHNOTE_TSAN=ON
-  cmake --build "$BUILD_DIR" -j "$(nproc)" --target test_ml test_integration
+  cmake --build "$BUILD_DIR" -j "$(nproc)" --target test_ml test_integration test_obs
   "$BUILD_DIR/tests/test_ml"
   "$BUILD_DIR/tests/test_integration"
+  "$BUILD_DIR/tests/test_obs" --gtest_filter='expo_server_suite.*:lifecycle_suite.*'
   exit 0
 fi
 

@@ -113,9 +113,44 @@ void broker::crash_restart() {
     metrics_->on_crash_restart(user_);
 }
 
+round_context broker::open_round(sim_time now, bool brownout) {
+    round_context ctx;
+    ctx.now = now;
+    ctx.round = round_index_++;
+
+    // 1. Environment evolves (driven by this broker's private stream). The
+    // chain always steps — a blackout grounds the radio for the round but
+    // must not shift the RNG stream of later rounds.
+    ctx.network = network_.step(env_rng_);
+    battery_->step(now, params_.round, 0.0);
+
+    // 3. Budget replenishment with capped rollover; a battery brownout
+    // suspends the energy replenishment e(t) for the round.
+    data_budget_ = std::min(data_budget_ + params_.budget_per_round_bytes,
+                            params_.budget_per_round_bytes *
+                                std::max(1.0, params_.rollover_rounds));
+    ctx.data_budget_bytes = data_budget_;
+    ctx.energy_replenishment =
+        brownout ? 0.0 : params_.energy_policy.replenishment(*battery_);
+    scheduler_->open_round(ctx);
+    return ctx;
+}
+
+sim_time broker::run_idle_rounds(std::uint64_t rounds, sim_time start, sim_time period) {
+    RICHNOTE_ASSERT_VALID(
+        RICHNOTE_CHECK(params_.faults == nullptr && scheduler_->queue_size() == 0,
+                       "only a fault-free broker with an empty queue idles"));
+    sim_time t = start;
+    for (std::uint64_t k = 0; k < rounds; ++k) {
+        open_round(t, false);
+        t += period;
+    }
+    return t;
+}
+
 void broker::run_round(sim_time now) {
     RICHNOTE_PROFILE_SCOPE(obs::profile_slot::broker_round);
-    const std::uint64_t round = round_index_++;
+    const std::uint64_t round = round_index_;
     const richnote::faults::fault_plan* faults = params_.faults;
     richnote::obs::trace_sink* trace = params_.trace;
 
@@ -127,12 +162,6 @@ void broker::run_round(sim_time now) {
         if (trace != nullptr) trace->event(user_, round, "crash_restart");
     }
 
-    // 1. Environment evolves (driven by this broker's private stream). The
-    // chain always steps — a blackout grounds the radio for the round but
-    // must not shift the RNG stream of later rounds.
-    const net_state chain_state = network_.step(env_rng_);
-    battery_->step(now, params_.round, 0.0);
-
     const bool blackout = faults != nullptr && faults->blackout(user_, round);
     const bool brownout = faults != nullptr && faults->brownout(user_, round);
     if (blackout) metrics_->on_fault(user_);
@@ -142,30 +171,19 @@ void broker::run_round(sim_time now) {
             .field("blackout", blackout)
             .field("brownout", brownout);
     }
-    const net_state state = blackout ? net_state::off : chain_state;
 
-    // 3. Budget replenishment with capped rollover; a battery brownout
-    // suspends the energy replenishment e(t) for the round.
-    data_budget_ = std::min(data_budget_ + params_.budget_per_round_bytes,
-                            params_.budget_per_round_bytes *
-                                std::max(1.0, params_.rollover_rounds));
-    const double replenishment =
-        brownout ? 0.0 : params_.energy_policy.replenishment(*battery_);
-
+    // 1–3. The shared prefix; then the link this round actually has.
+    round_context ctx = open_round(now, brownout);
+    const net_state state = blackout ? net_state::off : ctx.network;
     const richnote::sim::link_profile link = richnote::sim::default_link_profile(state);
-    round_context ctx;
-    ctx.now = now;
-    ctx.round = round;
-    ctx.data_budget_bytes = data_budget_;
     ctx.network = state;
     ctx.metered = link.metered;
     ctx.link_capacity_bytes = link.bytes_per_second * params_.round;
-    ctx.energy_replenishment = replenishment;
 
     // 4. Plan and deliver. The plan references the scheduler's reused
     // buffer; it stays valid through delivery (on_delivered /
     // on_transfer_failed only touch the queue) and is never copied.
-    const std::vector<planned_delivery>& plan = scheduler_->plan(ctx);
+    const std::vector<planned_delivery>& plan = scheduler_->build_plan(ctx);
     if (plan.empty()) return;
 
     double sent_bytes = 0.0;  ///< bytes actually moved this round

@@ -120,6 +120,16 @@ public:
     /// Execute one round starting at `now` (steps 1–4 above).
     void run_round(richnote::sim::sim_time now);
 
+    /// Runs `rounds` idle rounds, the first at `start` and each next one
+    /// `period` later (accumulated, as the round driver's clock is), and
+    /// returns the clock after the last. For a broker with an empty queue
+    /// and no fault plan a round is exactly open_round(): nothing is
+    /// planned, delivered or emitted. The deferring round engine catches a
+    /// lagging broker up through this.
+    richnote::sim::sim_time run_idle_rounds(std::uint64_t rounds,
+                                            richnote::sim::sim_time start,
+                                            richnote::sim::sim_time period);
+
     const scheduler& sched() const noexcept { return *scheduler_; }
 
     /// Rounds executed so far (restored with a checkpoint). The service
@@ -166,6 +176,14 @@ public:
     trace::user_id user() const noexcept { return user_; }
 
 private:
+    /// The fault-free prefix every round starts with (steps 1 and 3):
+    /// advances the round index, steps the network chain and the battery,
+    /// rolls the data budget over, computes e(t) (zero in a brownout) and
+    /// opens the scheduler's round (scheduler::open_round). Returns the
+    /// round's context with the chain's state as its network and no link
+    /// yet; run_round() applies a blackout and the link profile.
+    round_context open_round(richnote::sim::sim_time now, bool brownout);
+
     trace::user_id user_;
     broker_params params_;
     std::unique_ptr<scheduler> scheduler_;

@@ -20,12 +20,13 @@
 // Idle-broker deferral: a broker whose scheduling queue is empty, and whose
 // source holds nothing for it, leaves the active list and lags. Before it is
 // next admitted to, run or exposed through user_broker(), each round it
-// missed is replayed through the same broker::run_round, its clock
-// re-accumulated from the first missed round's start. Such a round moves
+// missed is replayed through broker::run_idle_rounds, its clock
+// re-accumulated from the first missed round's start. An idle round moves
 // only broker-private state (round index, network chain, battery, budget
-// rollover, P(t)) and emits nothing, so the replay is the sweep — but only
-// while nothing else looks at or perturbs an idle round. The engine
-// therefore defers only when the run has
+// rollover, P(t)) and emits nothing: it is the prefix every
+// broker::run_round starts with, and the replay runs that same prefix, so
+// the replay is the sweep — but only while nothing else looks at or
+// perturbs an idle round. The engine therefore defers only when the run has
 //   - no fault plan (blackouts, brownouts and crash-restarts mutate an idle
 //     broker and emit trace events),
 //   - no telemetry users (they sample every broker every round), and

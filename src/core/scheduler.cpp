@@ -159,8 +159,7 @@ bool richnote_scheduler::allow_delivery(double rho_joules) const noexcept {
     return controller_.energy_credit() >= rho_joules;
 }
 
-const std::vector<planned_delivery>& richnote_scheduler::plan(const round_context& ctx) {
-    RICHNOTE_PROFILE_SCOPE(obs::profile_slot::scheduler_plan);
+void richnote_scheduler::open_round(const round_context& ctx) {
     trace_round_ = ctx.round;
 
     // Algorithm 2 step 2: replenish the energy credit at the round boundary.
@@ -170,7 +169,10 @@ const std::vector<planned_delivery>& richnote_scheduler::plan(const round_contex
     if (params_.max_queue_age_sec > 0) {
         expired_items_ += expire_older_than(ctx.now - params_.max_queue_age_sec);
     }
+}
 
+const std::vector<planned_delivery>& richnote_scheduler::build_plan(const round_context& ctx) {
+    RICHNOTE_PROFILE_SCOPE(obs::profile_slot::scheduler_plan);
     plan_.clear();
     if (queue_.empty() || !richnote::sim::default_link_profile(ctx.network).connected)
         return plan_;
@@ -340,14 +342,15 @@ bool direct_scheduler::allow_delivery(double rho_joules) const noexcept {
     return energy_credit_ >= rho_joules;
 }
 
-const std::vector<planned_delivery>& direct_scheduler::plan(const round_context& ctx) {
-    RICHNOTE_PROFILE_SCOPE(obs::profile_slot::scheduler_plan);
+void direct_scheduler::open_round(const round_context& ctx) {
     trace_round_ = ctx.round;
-
     // Accrue this round's energy budget, banked up to the cap.
     energy_credit_ = std::min(energy_credit_ + params_.kappa_joules_per_round,
                               params_.kappa_joules_per_round * params_.energy_accrual_rounds);
+}
 
+const std::vector<planned_delivery>& direct_scheduler::build_plan(const round_context& ctx) {
+    RICHNOTE_PROFILE_SCOPE(obs::profile_slot::scheduler_plan);
     plan_.clear();
     if (queue_.empty() || !richnote::sim::default_link_profile(ctx.network).connected)
         return plan_;
@@ -356,7 +359,7 @@ const std::vector<planned_delivery>& direct_scheduler::plan(const round_context&
                               : ctx.link_capacity_bytes;
     if (budget <= 0.0) return plan_;
 
-    // Grow-only scratch instance (see richnote_scheduler::plan).
+    // Grow-only scratch instance (see richnote_scheduler::build_plan).
     const std::size_t n = queue_.size();
     if (instance_.size() < n) instance_.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -426,9 +429,9 @@ fixed_level_scheduler::fixed_level_scheduler(level_t fixed_level,
     RICHNOTE_REQUIRE(fixed_level >= 1, "baselines deliver at a fixed level >= 1");
 }
 
-const std::vector<planned_delivery>& fixed_level_scheduler::plan(const round_context& ctx) {
+const std::vector<planned_delivery>& fixed_level_scheduler::build_plan(
+    const round_context& ctx) {
     RICHNOTE_PROFILE_SCOPE(obs::profile_slot::scheduler_plan);
-    trace_round_ = ctx.round;
     plan_.clear();
     if (queue_.empty() || !richnote::sim::default_link_profile(ctx.network).connected)
         return plan_;

@@ -1,8 +1,9 @@
 // Notification schedulers (§IV Algorithm 2 and the §V-C baselines).
 //
 // A scheduler owns one user's scheduling queue. Each round the broker calls
-// plan() with the round context (available data budget, network state,
-// energy replenishment); the scheduler returns an ordered delivery plan.
+// open_round() and then build_plan() with the round context (available data
+// budget, network state, energy replenishment); the scheduler returns an
+// ordered delivery plan.
 // The broker then delivers as many planned entries as the network / budget /
 // energy allow and reports each success via on_delivered(); planned entries
 // that did not make it stay in the scheduling queue for the next round
@@ -105,13 +106,27 @@ public:
     /// New content enters the scheduling queue.
     virtual void enqueue(sched_item item) = 0;
 
-    /// Build this round's delivery plan (does not mutate the queue). The
+    /// Round boundary: what a round does to the scheduler before it reads
+    /// the queue. RichNote replenishes P(t) by ctx.energy_replenishment and
+    /// expires stale items, Direct accrues its energy budget, and every
+    /// scheduler notes ctx.round for the events it emits. Reads only
+    /// ctx.now, ctx.round and ctx.energy_replenishment. With an empty queue
+    /// this is the whole of the scheduler's round (broker::open_round).
+    virtual void open_round(const round_context& ctx) { trace_round_ = ctx.round; }
+
+    /// Builds the delivery plan of the round open_round(ctx) opened. The
     /// returned reference points at a per-scheduler buffer reused across
     /// rounds (the zero-allocation hot path); it stays valid while the
     /// broker delivers — on_delivered()/on_transfer_failed() only touch the
-    /// queue — but is invalidated by the next plan() call. Callers that
-    /// need the plan beyond that must copy it.
-    virtual const std::vector<planned_delivery>& plan(const round_context& ctx) = 0;
+    /// queue — but is invalidated by the next build_plan() call. Callers
+    /// that need the plan beyond that must copy it.
+    virtual const std::vector<planned_delivery>& build_plan(const round_context& ctx) = 0;
+
+    /// One round's scheduling step: open_round(ctx), then build_plan(ctx).
+    const std::vector<planned_delivery>& plan(const round_context& ctx) {
+        open_round(ctx);
+        return build_plan(ctx);
+    }
 
     /// The broker delivered this item; drop it from the scheduling queue.
     /// `energy_spent` is the actual (estimated) energy charged to it.
@@ -193,8 +208,8 @@ protected:
     richnote::obs::trace_sink* trace_ = nullptr;
     richnote::obs::lifecycle_tracker* lifecycle_ = nullptr;
     std::uint32_t trace_user_ = 0;
-    /// Round of the most recent plan() call, so events emitted outside
-    /// plan() (retry/backoff, dead-letter) land on the right round.
+    /// Round of the most recent open_round() call, so events emitted
+    /// outside planning (retry/backoff, dead-letter) land on the right round.
     std::uint64_t trace_round_ = 0;
 };
 
@@ -259,7 +274,7 @@ protected:
     /// restore); lets subclasses cache queue-derived state (delivery
     /// orders) and refresh it only when stale.
     std::uint64_t queue_version_ = 0;
-    /// Scratch arena: the delivery plan buffer every plan() implementation
+    /// Scratch arena: the delivery plan buffer every build_plan()
     /// fills and returns. Reused across rounds, so a steady-state round
     /// allocates nothing.
     std::vector<planned_delivery> plan_;
@@ -307,7 +322,8 @@ public:
 
     const char* name() const noexcept override { return "RichNote"; }
     void enqueue(sched_item item) override;
-    const std::vector<planned_delivery>& plan(const round_context& ctx) override;
+    void open_round(const round_context& ctx) override;
+    const std::vector<planned_delivery>& build_plan(const round_context& ctx) override;
     bool allow_delivery(double rho_joules) const noexcept override;
     void on_session_overhead(double joules) override;
 
@@ -346,7 +362,7 @@ private:
     std::uint64_t dropped_low_utility_ = 0;
     std::uint64_t expired_items_ = 0;
     std::uint64_t deferred_item_rounds_ = 0;
-    /// Per-round scratch arenas (see plan()): the MCKP instance, the flat
+    /// Per-round scratch arenas (see build_plan()): the MCKP instance, the flat
     /// per-item/per-level rho cache (rho_offset_[i] indexes into rho_flat_),
     /// the aged content utilities, and the MCKP solver's own scratch. All
     /// grow-only: instance_ keeps one slot per historical queue-size peak,
@@ -380,7 +396,8 @@ public:
     direct_scheduler(params p, const energy::energy_model& energy);
 
     const char* name() const noexcept override { return "Direct"; }
-    const std::vector<planned_delivery>& plan(const round_context& ctx) override;
+    void open_round(const round_context& ctx) override;
+    const std::vector<planned_delivery>& build_plan(const round_context& ctx) override;
     bool allow_delivery(double rho_joules) const noexcept override;
     void on_session_overhead(double joules) override;
 
@@ -411,7 +428,7 @@ public:
     /// their maximum.
     fixed_level_scheduler(level_t fixed_level, const energy::energy_model& energy);
 
-    const std::vector<planned_delivery>& plan(const round_context& ctx) override;
+    const std::vector<planned_delivery>& build_plan(const round_context& ctx) override;
 
     level_t fixed_level() const noexcept { return fixed_level_; }
 

@@ -100,6 +100,14 @@ service_counters notification_service::counters() const {
     return c;
 }
 
+const run_totals& notification_service::totals() {
+    if (totals_round_ != engine_->rounds_run()) {
+        totals_ = engine_->metrics().totals();
+        totals_round_ = engine_->rounds_run();
+    }
+    return totals_;
+}
+
 experiment_result notification_service::summarize() const {
     const metrics_recorder& m = engine_->metrics();
     return make_experiment_result(*setup_, params_.experiment, m, m.totals(),

@@ -43,6 +43,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string_view>
 #include <vector>
@@ -145,10 +146,16 @@ public:
     /// deferred broker.
     experiment_result summarize() const;
 
+    /// metrics().totals() as of the current round. The fleet walk behind
+    /// it (208 B of user_metrics per user) runs at most once per round,
+    /// however often this is asked for: only a round moves per-user
+    /// metrics, while a reshard or a user_broker() catch-up leaves them
+    /// be. Round driver thread only.
+    const run_totals& totals();
+
     /// Exports the service counters under richnote.service.* names plus
-    /// the run aggregates via core::export_metrics. `totals` is
-    /// metrics().totals(), taken once by the caller so one publish is one
-    /// fleet walk shared with the /progress snapshot.
+    /// the run aggregates via core::export_metrics. `totals` is totals(),
+    /// so one publish shares one fleet walk with the /progress snapshot.
     void export_service_metrics(const run_totals& totals,
                                 richnote::obs::metrics_registry& registry) const;
 
@@ -162,6 +169,9 @@ private:
 
     std::uint64_t reshards_ = 0;
     std::uint64_t admitted_ = 0;
+    /// totals() cache and the rounds_run() it was taken at (none yet).
+    run_totals totals_;
+    std::uint64_t totals_round_ = std::numeric_limits<std::uint64_t>::max();
 
     // Touched by concurrent ingest threads.
     std::atomic<std::uint64_t> ingest_accepted_{0};

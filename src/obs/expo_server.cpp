@@ -234,6 +234,22 @@ void expo_server::publish_document(const std::string& path,
     documents_[path] = {content_type, std::move(body)};
 }
 
+void expo_server::set_refresh_hook(std::function<void()> hook) {
+    std::lock_guard<std::mutex> lock(handlers_mutex_);
+    refresh_hook_ = std::move(hook);
+}
+
+void expo_server::refresh() const {
+    // Run a copy, outside the lock: the hook may wait a whole round, and
+    // POST dispatch needs handlers_mutex_ meanwhile.
+    std::function<void()> hook;
+    {
+        std::lock_guard<std::mutex> lock(handlers_mutex_);
+        hook = refresh_hook_;
+    }
+    if (hook) hook();
+}
+
 void expo_server::set_uarch(std::string uarch) {
     std::lock_guard<std::mutex> lock(content_mutex_);
     uarch_ = std::move(uarch);
@@ -241,10 +257,12 @@ void expo_server::set_uarch(std::string uarch) {
 
 std::string expo_server::respond_get(const std::string& path) const {
     if (path == "/metrics") {
+        refresh();
         std::lock_guard<std::mutex> lock(content_mutex_);
         return http_response(200, "text/plain; version=0.0.4", metrics_text_);
     }
     if (path == "/progress") {
+        refresh();
         std::lock_guard<std::mutex> lock(content_mutex_);
         return http_response(200, "application/json", progress_json_);
     }
@@ -265,11 +283,16 @@ std::string expo_server::respond_get(const std::string& path) const {
         body += "}\n";
         return http_response(200, "application/json", body);
     }
+    bool published = false; // documents are never withdrawn
     {
         std::lock_guard<std::mutex> lock(content_mutex_);
-        if (const auto it = documents_.find(path); it != documents_.end()) {
-            return http_response(200, it->second.first.c_str(), it->second.second);
-        }
+        published = documents_.count(path) != 0;
+    }
+    if (published) {
+        refresh();
+        std::lock_guard<std::mutex> lock(content_mutex_);
+        const auto& [content_type, body] = documents_.at(path);
+        return http_response(200, content_type.c_str(), body);
     }
     // 404 lists every path actually served right now, GET and POST alike.
     std::string listing = "see /healthz, /metrics, /progress";

@@ -7,7 +7,7 @@
 //
 //   GET /metrics   Prometheus text rendering of the last published
 //                  metrics_registry (obs/prom_text.hpp)
-//   GET /progress  JSON progress_snapshot refreshed each broker round
+//   GET /progress  JSON progress_snapshot, as last published
 //   GET /healthz   {"status":"ok",...} liveness probe
 //
 // Write side: POST handlers registered per path (richnote serve mounts its
@@ -25,8 +25,12 @@
 //
 // Publication and serving are decoupled: publish_* renders the document
 // into a string under a mutex; handler threads only ever copy the latest
-// strings, so a slow scraper never blocks the round loop and the round
-// loop never blocks a scrape for longer than one string swap.
+// strings, so a slow scraper never blocks the round loop. A batch run
+// publishes each round (the progress_listener hook). `richnote serve`
+// publishes on scrape instead: its refresh hook (set_refresh_hook) runs
+// before /metrics, /progress or a published document is served, and waits
+// for the service, so such a scrape may wait up to one round. /healthz
+// never waits.
 //
 // The server binds 127.0.0.1 (scrapes are expected from the same host or
 // via a forwarder) and supports port 0 for an ephemeral port — tests bind
@@ -97,6 +101,14 @@ public:
     void publish_document(const std::string& path, const std::string& content_type,
                           std::string body);
 
+    /// Installs `hook`, run on the handler thread before every GET of
+    /// /metrics, /progress or a published document — never /healthz or an
+    /// unknown path — so the embedding process can publish on demand
+    /// rather than after every round. Handler threads may run it
+    /// concurrently, so it must serialize itself. Empty (the default)
+    /// serves whatever was last published.
+    void set_refresh_hook(std::function<void()> hook);
+
     /// Records the dispatch microarchitecture reported by /healthz (the
     /// server itself cannot see ml::simd — obs links only richnote_common,
     /// so the embedding tool passes the resolved name in).
@@ -119,6 +131,8 @@ private:
     void handler_loop();
     void handle_connection(int fd);
     std::string respond_get(const std::string& path) const;
+    /// Runs the refresh hook, if one is installed.
+    void refresh() const;
 
     int listen_fd_ = -1;
     std::uint16_t port_ = 0;
@@ -135,6 +149,7 @@ private:
 
     mutable std::mutex handlers_mutex_;
     std::map<std::string, post_handler> post_handlers_;
+    std::function<void()> refresh_hook_; ///< guarded by handlers_mutex_
 
     std::mutex queue_mutex_;
     std::condition_variable queue_cv_;

@@ -31,7 +31,8 @@
 // attached tracker pays one striped-mutex buffered APPEND per stage
 // transition (a clock read plus a vector push, ~tens of ns); the id-keyed
 // record map and the histograms are only touched when buffered events fold
-// — lazily, at accessor/scrape time, off the round loop. Folding a stage
+// — lazily, at accessor/scrape time or when `richnote serve` folds at a
+// round boundary (fold()), never inside the sharded round. Folding a stage
 // event costs a cold map probe (~hundreds of ns), which is exactly the
 // cost the round loop no longer pays per transition.
 #pragma once
@@ -93,6 +94,13 @@ public:
     /// only) and drop the record.
     void on_delivered(std::uint64_t id, std::uint64_t round);
     void on_dead_lettered(std::uint64_t id, std::uint64_t round);
+
+    /// Folds every buffered stage event into the record map and the
+    /// histograms. The accessors below fold first on their own; a serve
+    /// loop that publishes only on scrape calls this at each round
+    /// boundary, so the buffers stay one round deep instead of growing to
+    /// the per-stripe backstop on ingest threads.
+    void fold() const;
 
     /// Records still in flight (ingested, not yet delivered/dead-lettered).
     std::uint64_t tracked() const;
@@ -170,9 +178,6 @@ private:
     /// `s.mutex`; terminal events additionally take stats_mutex_ (lock
     /// order: shard -> stats, everywhere).
     void fold_shard_locked(shard& s) const;
-    /// Drains every stripe's pending buffer. Called by all accessors, so
-    /// reads always observe every hook that happened-before them.
-    void fold() const;
     void apply(shard& s, const stage_event& e) const;
     void finish(record r, const stage_event& e) const;
 

@@ -14,8 +14,8 @@ battery_model::battery_model(battery_params params, richnote::rng& gen)
     phase_offset_hours_ = gen.uniform(-params.phase_jitter_hours, params.phase_jitter_hours);
 }
 
-bool battery_model::in_charge_window(sim_time t) const noexcept {
-    double h = hour_of_day(t) - phase_offset_hours_;
+bool battery_model::in_charge_window(double hour) const noexcept {
+    double h = hour - phase_offset_hours_;
     if (h < 0) h += 24.0;
     if (h >= 24.0) h -= 24.0;
     const double start = params_.charge_start_hour;
@@ -25,10 +25,13 @@ bool battery_model::in_charge_window(sim_time t) const noexcept {
 }
 
 void battery_model::step(sim_time t, sim_time dt, double extra_joules) noexcept {
-    charging_ = in_charge_window(t);
+    // Stepped every round of every broker, idle ones included: take the
+    // hour of day once for both the charge window and the day/night draw.
+    const double hour = hour_of_day(t);
+    charging_ = in_charge_window(hour);
     const double drain_watts = charging_ ? 0.0
-                               : is_daytime(t) ? params_.day_drain_watts
-                                               : params_.night_drain_watts;
+                               : is_daytime_hour(hour) ? params_.day_drain_watts
+                                                       : params_.night_drain_watts;
     const double charge_watts = charging_ ? params_.charge_watts : 0.0;
     const double delta_joules = (charge_watts - drain_watts) * dt - extra_joules;
     level_ = std::clamp(level_ + delta_joules / params_.capacity_joules, 0.0, 1.0);

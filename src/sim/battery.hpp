@@ -79,7 +79,9 @@ public:
     const battery_params& params() const noexcept { return params_; }
 
 private:
-    bool in_charge_window(sim_time t) const noexcept;
+    /// Whether this user's phase-shifted charge window covers `hour`
+    /// (hour of day, hour_of_day()).
+    bool in_charge_window(double hour) const noexcept;
 
     battery_params params_;
     double level_;

@@ -58,19 +58,21 @@ public:
     net_state state() const noexcept { return state_; }
 
     /// Advances one round and returns the new state. Inline: every broker
-    /// steps its chain once per round.
-    net_state step(richnote::rng& gen) noexcept {
+    /// steps its chain once per round, idle or not.
+    net_state step(richnote::rng& gen) noexcept { return advance(gen.uniform()); }
+
+    /// Moves to the state that the draw `u` in [0, 1) picks from the
+    /// current row: the first state whose partial row sum exceeds u, and
+    /// the last state when rounding leaves u at or above every sum. Rows are
+    /// non-negative, so the partial sums ascend and counting the sums u has
+    /// reached picks the same state without a branch.
+    net_state advance(double u) noexcept {
+        static_assert(net_state_count == 3, "advance() compares u with two partial sums");
         const auto& row = matrix_[static_cast<std::size_t>(state_)];
-        const double u = gen.uniform();
-        double acc = 0.0;
-        for (std::size_t to = 0; to < net_state_count; ++to) {
-            acc += row[to];
-            if (u < acc) {
-                state_ = static_cast<net_state>(to);
-                return state_;
-            }
-        }
-        state_ = static_cast<net_state>(net_state_count - 1); // rounding slack
+        const double past_off = row[0];
+        const double past_cell = past_off + row[1];
+        state_ = static_cast<net_state>(static_cast<int>(u >= past_off) +
+                                        static_cast<int>(u >= past_cell));
         return state_;
     }
 

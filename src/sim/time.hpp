@@ -31,10 +31,10 @@ inline bool is_weekend(sim_time t) noexcept {
     return day == 5 || day == 6;
 }
 
+/// True for an hour of day between 08:00 and 22:00.
+inline bool is_daytime_hour(double hour) noexcept { return hour >= 8.0 && hour < 22.0; }
+
 /// True between 08:00 and 22:00 (the paper's day/night feature, §V-A).
-inline bool is_daytime(sim_time t) noexcept {
-    const double h = hour_of_day(t);
-    return h >= 8.0 && h < 22.0;
-}
+inline bool is_daytime(sim_time t) noexcept { return is_daytime_hour(hour_of_day(t)); }
 
 } // namespace richnote::sim

@@ -1,5 +1,6 @@
 // Bit-for-bit comparison of brokers and per-user metrics, shared by the
-// tests that hold a deferring round engine to a reference sweep.
+// tests that hold a deferring round engine to a reference sweep and the
+// idle-round prefix to full rounds.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -11,10 +12,9 @@
 namespace richnote::test {
 
 /// Field-by-field, bit-for-bit comparison of two brokers' full mutable
-/// state (broker_checkpoint) plus their users' metrics.
-inline void expect_same_broker(const core::broker& a, const core::broker& b) {
-    const core::broker_checkpoint ca = a.checkpoint();
-    const core::broker_checkpoint cb = b.checkpoint();
+/// state. Steps the checkpoints' batteries.
+inline void expect_same_checkpoint(const core::broker_checkpoint& ca,
+                                   const core::broker_checkpoint& cb) {
     EXPECT_EQ(ca.round_index, cb.round_index);
     EXPECT_EQ(ca.data_budget, cb.data_budget);
     EXPECT_EQ(ca.failed_transfers, cb.failed_transfers);
@@ -64,6 +64,11 @@ inline void expect_same_broker(const core::broker& a, const core::broker& b) {
         EXPECT_EQ(ca.sched.items[i].failed_attempts, cb.sched.items[i].failed_attempts);
         EXPECT_EQ(ca.sched.items[i].retry_not_before, cb.sched.items[i].retry_not_before);
     }
+}
+
+/// expect_same_checkpoint over two live brokers.
+inline void expect_same_broker(const core::broker& a, const core::broker& b) {
+    expect_same_checkpoint(a.checkpoint(), b.checkpoint());
 }
 
 inline void expect_same_user_metrics(const core::user_metrics& a,

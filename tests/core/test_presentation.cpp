@@ -75,7 +75,12 @@ TEST(pareto, reproduces_figure_2a_example) {
 TEST(pareto, output_is_sorted_with_strictly_increasing_utility) {
     std::vector<presentation_candidate> candidates;
     for (int i = 0; i < 20; ++i) {
-        candidates.push_back({"p" + std::to_string(i),
+        // Appended, not "p" + std::to_string(i): GCC 12 at -O3 misreads
+        // operator+(const char*, string&&) as an overlapping memcpy
+        // (-Wrestrict).
+        std::string label = "p";
+        label += std::to_string(i);
+        candidates.push_back({std::move(label),
                               static_cast<double>(100 + (i * 37) % 500),
                               0.1 + 0.04 * ((i * 13) % 17), 0});
     }

@@ -320,6 +320,60 @@ TEST_F(service_test, exported_metrics_equal_summarize_bitwise) {
     }
 }
 
+/// Every run_totals field, compared exactly.
+void expect_same_totals(const richnote::core::run_totals& a,
+                        const richnote::core::run_totals& b) {
+    EXPECT_EQ(a.arrived, b.arrived);
+    EXPECT_EQ(a.delivered, b.delivered);
+    EXPECT_EQ(a.clicked_total, b.clicked_total);
+    EXPECT_EQ(a.delivered_clicked, b.delivered_clicked);
+    EXPECT_EQ(a.delivered_before_click, b.delivered_before_click);
+    EXPECT_EQ(a.bytes_delivered, b.bytes_delivered);
+    EXPECT_EQ(a.metered_bytes_delivered, b.metered_bytes_delivered);
+    EXPECT_EQ(a.utility, b.utility);
+    EXPECT_EQ(a.utility_clicked, b.utility_clicked);
+    EXPECT_EQ(a.energy_joules, b.energy_joules);
+    EXPECT_EQ(a.queuing_delay_sec.count(), b.queuing_delay_sec.count());
+    EXPECT_EQ(a.queuing_delay_sec.mean(), b.queuing_delay_sec.mean());
+    EXPECT_EQ(a.queuing_delay_sec.variance(), b.queuing_delay_sec.variance());
+    EXPECT_EQ(a.queuing_delay_sec.min(), b.queuing_delay_sec.min());
+    EXPECT_EQ(a.queuing_delay_sec.max(), b.queuing_delay_sec.max());
+    EXPECT_EQ(a.queuing_delay_sec.sum(), b.queuing_delay_sec.sum());
+    EXPECT_EQ(a.faults.faults_injected, b.faults.faults_injected);
+    EXPECT_EQ(a.faults.transfer_retries, b.faults.transfer_retries);
+    EXPECT_EQ(a.faults.dead_lettered, b.faults.dead_lettered);
+    EXPECT_EQ(a.faults.duplicates_suppressed, b.faults.duplicates_suppressed);
+    EXPECT_EQ(a.faults.crash_restarts, b.faults.crash_restarts);
+    EXPECT_EQ(a.faults.partial_bytes, b.faults.partial_bytes);
+    EXPECT_EQ(a.faults.resumed_bytes, b.faults.resumed_bytes);
+}
+
+TEST_F(service_test, cached_totals_equal_a_fresh_fleet_walk) {
+    // totals() walks the fleet at most once per round and serves that walk
+    // until the next one. Whatever happens between rounds — a reshard,
+    // catch-ups through user_broker() — it must still equal a fresh walk.
+    service_params sp = serve_params(2);
+    sp.user_count = 200; // most brokers lag behind the 24 trace users'
+    notification_service svc(*setup_, sp);
+    const std::vector<notification> items = by_creation_time(*setup_);
+    run_interleaved(svc, items, 90, [&](std::uint64_t r) {
+        SCOPED_TRACE(r);
+        expect_same_totals(svc.totals(), svc.metrics().totals());
+        if (r == 30) {
+            svc.reshard(3);
+            expect_same_totals(svc.totals(), svc.metrics().totals());
+        }
+        if (r % 7 == 0) {
+            for (richnote::trace::user_id u = 0; u < sp.user_count; u += 13)
+                (void)svc.user_broker(u);
+            expect_same_totals(svc.totals(), svc.metrics().totals());
+        }
+    });
+    expect_same_totals(svc.totals(), svc.metrics().totals());
+    EXPECT_GT(svc.totals().delivered, 0u);
+    EXPECT_GT(svc.counters().caught_up_rounds, 0u);
+}
+
 TEST_F(service_test, ingest_order_within_a_round_does_not_matter) {
     // Out-of-order timestamps on the wire: a whole workload delivered in
     // reverse (and interleaved across users) is canonicalised at the round

@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -352,6 +353,109 @@ TEST(expo_server_suite, post_bodies_arrive_whole_across_writes_and_stop_at_lengt
         EXPECT_NE(r.find("200 OK"), std::string::npos);
         EXPECT_EQ(body_of(r), body);
     }
+}
+
+TEST(expo_server_suite, the_refresh_hook_runs_before_published_reads_only) {
+    expo_server server(0);
+    server.publish_document("/exemplars", "application/json", "{}\n");
+    server.set_post_handler("/echo", [](const std::string& body) {
+        return expo_server::post_result{200, body};
+    });
+    std::atomic<int> refreshes{0};
+    server.set_refresh_hook([&] {
+        const int n = ++refreshes;
+        metrics_registry registry;
+        registry.count("richnote.service.rounds_total", static_cast<std::uint64_t>(n));
+        server.publish_metrics(registry);
+        progress_snapshot p;
+        p.round = static_cast<std::uint64_t>(n);
+        server.publish_progress(p);
+        server.publish_document("/exemplars", "application/json",
+                                "{\"refresh\":" + std::to_string(n) + "}\n");
+    });
+
+    // Liveness, unknown paths and POSTs never wait on the hook.
+    EXPECT_NE(get_path(server.port(), "/healthz").find("200 OK"), std::string::npos);
+    EXPECT_NE(get_path(server.port(), "/nope").find("404"), std::string::npos);
+    EXPECT_EQ(body_of(http_post(server.port(), "/echo", "x")), "x");
+    EXPECT_EQ(refreshes.load(), 0);
+
+    // Each published read runs it first and serves what it published.
+    EXPECT_NE(body_of(get_path(server.port(), "/metrics"))
+                  .find("richnote_service_rounds_total 1\n"),
+              std::string::npos);
+    EXPECT_EQ(refreshes.load(), 1);
+    EXPECT_NE(body_of(get_path(server.port(), "/progress")).find("{\"round\":2,"),
+              std::string::npos);
+    EXPECT_EQ(refreshes.load(), 2);
+    EXPECT_EQ(body_of(get_path(server.port(), "/exemplars")), "{\"refresh\":3}\n");
+    EXPECT_EQ(refreshes.load(), 3);
+
+    // Without a hook the last published documents are served as they are.
+    server.set_refresh_hook(nullptr);
+    EXPECT_NE(body_of(get_path(server.port(), "/metrics"))
+                  .find("richnote_service_rounds_total 3\n"),
+              std::string::npos);
+    EXPECT_EQ(refreshes.load(), 3);
+}
+
+TEST(expo_server_suite, concurrent_scrapes_refresh_under_the_callers_lock) {
+    // The hook serializes itself on a mutex standing in for the service
+    // mutex, which a round driver holds while it advances the round.
+    expo_server server(0, /*handler_threads=*/4);
+    std::mutex service_mutex;
+    std::uint64_t round = 0;
+    server.set_refresh_hook([&] {
+        std::lock_guard<std::mutex> lock(service_mutex);
+        metrics_registry registry;
+        registry.count("richnote.service.rounds_total", round);
+        server.publish_metrics(registry);
+        progress_snapshot p;
+        p.round = round;
+        server.publish_progress(p);
+    });
+
+    constexpr int scrapers = 6;
+    constexpr int scrapes_each = 10;
+    constexpr std::uint64_t rounds = 20;
+    std::atomic<int> failures{0};
+    std::vector<std::thread> threads;
+    threads.emplace_back([&] {
+        for (std::uint64_t r = 0; r < rounds; ++r) {
+            {
+                std::lock_guard<std::mutex> lock(service_mutex);
+                ++round;
+            }
+            std::this_thread::sleep_for(std::chrono::microseconds(300));
+        }
+    });
+    for (int c = 0; c < scrapers; ++c) {
+        threads.emplace_back([&, c] {
+            // Published documents only move forward, so each scraper sees
+            // a non-decreasing round.
+            std::uint64_t last = 0;
+            for (int i = 0; i < scrapes_each; ++i) {
+                const bool metrics = (c + i) % 2 == 0;
+                const std::string r = get_path(server.port(), metrics ? "/metrics" : "/progress");
+                const std::string body = body_of(r);
+                const std::string key =
+                    metrics ? "\nrichnote_service_rounds_total " : "{\"round\":";
+                const auto at = body.find(key);
+                if (r.find("200 OK") == std::string::npos || at == std::string::npos) {
+                    ++failures;
+                    continue;
+                }
+                const std::uint64_t seen = std::strtoull(body.c_str() + at + key.size(),
+                                                         nullptr, 10);
+                if (seen < last || seen > rounds) ++failures;
+                last = seen;
+            }
+        });
+    }
+    for (auto& t : threads) t.join();
+    EXPECT_EQ(failures.load(), 0);
+    EXPECT_NE(body_of(get_path(server.port(), "/progress")).find("{\"round\":20,"),
+              std::string::npos);
 }
 
 TEST(expo_server_suite, serves_concurrent_connections) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -134,6 +135,74 @@ TEST(network, coverage_model_rejects_bad_arguments) {
                  richnote::precondition_error);
     EXPECT_THROW(markov_network_model::cellular_with_coverage(0.5, net_state::wifi),
                  richnote::precondition_error);
+}
+
+/// The chain step as a first-match scan over the row's running sums: the
+/// first state whose running sum exceeds u, else the last state.
+net_state scanned_state(const net_transition_matrix& m, net_state from, double u) {
+    const auto& row = m[static_cast<std::size_t>(from)];
+    double acc = 0.0;
+    for (std::size_t to = 0; to < row.size(); ++to) {
+        acc += row[to];
+        if (u < acc) return static_cast<net_state>(to);
+    }
+    return static_cast<net_state>(row.size() - 1);
+}
+
+/// A random row-stochastic matrix; about half its rows get one or two
+/// zero entries (never three: at most two distinct draws are zeroed).
+net_transition_matrix random_matrix(rng& gen) {
+    net_transition_matrix m{};
+    for (auto& row : m) {
+        for (double& p : row) p = gen.uniform();
+        if (gen.bernoulli(0.5)) {
+            const auto zeros = gen.uniform_int(1, 2);
+            for (std::int64_t z = 0; z < zeros; ++z)
+                row[static_cast<std::size_t>(gen.uniform_int(0, 2))] = 0.0;
+        }
+        const double total = row[0] + row[1] + row[2];
+        for (double& p : row) p /= total;
+    }
+    return m;
+}
+
+TEST(network, branch_free_step_matches_the_first_match_scan) {
+    rng gen(11);
+    for (int trial = 0; trial < 500; ++trial) {
+        const net_transition_matrix m = random_matrix(gen);
+        for (std::size_t from = 0; from < 3; ++from) {
+            const auto& row = m[from];
+            const double first = 0.0 + row[0]; // the scan's own partial sums
+            const double second = first + row[1];
+            // Draws exactly on each partial sum and one ulp either side.
+            const double probes[] = {0.0,
+                                     first,
+                                     std::nextafter(first, 0.0),
+                                     std::nextafter(first, 1.0),
+                                     second,
+                                     std::nextafter(second, 0.0),
+                                     std::nextafter(second, 1.0),
+                                     std::nextafter(1.0, 0.0),
+                                     gen.uniform()};
+            for (const double u : probes) {
+                if (u < 0.0 || u >= 1.0) continue;
+                markov_network_model model(m, static_cast<net_state>(from));
+                SCOPED_TRACE(::testing::Message() << "trial " << trial << " from " << from
+                                                  << " u " << u);
+                EXPECT_EQ(model.advance(u), scanned_state(m, static_cast<net_state>(from), u));
+                EXPECT_EQ(model.state(), scanned_state(m, static_cast<net_state>(from), u));
+            }
+        }
+        // Whole trajectories: step() against the scan fed the same draws.
+        markov_network_model model(m, net_state::cell);
+        rng chain(static_cast<std::uint64_t>(trial));
+        rng scan(static_cast<std::uint64_t>(trial));
+        net_state expected = net_state::cell;
+        for (int k = 0; k < 64; ++k) {
+            expected = scanned_state(m, expected, scan.uniform());
+            ASSERT_EQ(model.step(chain), expected) << "trial " << trial << " step " << k;
+        }
+    }
 }
 
 TEST(link_profile, off_carries_nothing) {

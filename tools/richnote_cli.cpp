@@ -111,7 +111,9 @@ serve mode: POST /ingest accepts NDJSON notification lines (one JSON object
 per line; 503 = backpressure, retry later), POST /round runs one service
 round now, POST /reshard {"threads":K} (or a bare K, 1 <= K <= 256)
 checkpoints every broker and resizes the worker pool losslessly, POST
-/shutdown exits. GET /metrics, /progress and /healthz work as in simulate;
+/shutdown exits. GET /metrics, /progress and /healthz work as in simulate,
+except that /metrics and /progress are rendered when scraped rather than
+after every round, so a scrape may wait for a running round to finish;
 GET /exemplars returns the top-K worst end-to-end notification timelines
 (JSON). fleet_users=0 serves the training workload's users; a larger value
 synthesizes that many brokers. round_interval_ms=0 runs rounds only on POST
@@ -629,10 +631,16 @@ int cmd_evaluate(const config& cfg) {
             status = "retired@" + std::to_string(arm.retired_after) + " by " +
                      result.arms[arm.retired_by].name;
         }
-        const std::string interval =
-            acc.count() >= 2 ? "[" + format_double(ci.lo, 1) + ", " +
-                                   format_double(ci.hi, 1) + "]"
-                             : "-";
+        // Appended, not "[" + string: GCC 12 at -O3 flags that operator+
+        // as an overlapping memcpy (-Wrestrict).
+        std::string interval = "-";
+        if (acc.count() >= 2) {
+            interval = "[";
+            interval += format_double(ci.lo, 1);
+            interval += ", ";
+            interval += format_double(ci.hi, 1);
+            interval += "]";
+        }
         t.add_row({arm.name, std::to_string(acc.count()),
                    format_double(acc.mean(), 1), interval, status});
     }
@@ -682,22 +690,34 @@ int cmd_serve(const config& cfg) {
     sp.experiment.lifecycle = &lifecycle;
     core::notification_service service(setup, sp);
 
-    obs::expo_server expo(static_cast<std::uint16_t>(cfg.get_int("port", 0)));
-    expo.set_uarch(std::string(ml::simd::arch_name()) + "/" +
-                   ml::simd::isa_name(ml::simd::active_isa()));
-
     // All service driving — timer rounds, POST /round, POST /reshard — is
     // serialized by one mutex; the pool's slot 0 simply runs on whichever
-    // thread holds it.
+    // thread holds it. Declared before the server, so the handlers' state
+    // outlives the handler threads.
     std::mutex service_mutex;
     std::atomic_bool shutdown{false};
     const auto started = std::chrono::steady_clock::now();
 
-    // One publish is one fleet walk: /metrics and /progress read the same
-    // totals, so their delivery and fault counts always agree.
+    // A round folds the lifecycle stage events it produced, so nothing
+    // piles up for the ingest threads' backstop fold between scrapes.
+    // Caller holds service_mutex.
+    auto run_round = [&] {
+        service.run_round();
+        lifecycle.fold();
+    };
+
+    obs::expo_server expo(static_cast<std::uint16_t>(cfg.get_int("port", 0)));
+    expo.set_uarch(std::string(ml::simd::arch_name()) + "/" +
+                   ml::simd::isa_name(ml::simd::active_isa()));
+
+    // Publish on scrape: before it serves /metrics, /progress or
+    // /exemplars, the server runs this hook, which renders all three from
+    // one set of totals, so their delivery and fault counts always agree.
+    // The totals are one fleet walk per round, however many scrapes come.
     auto publish = [&] {
+        std::lock_guard<std::mutex> lock(service_mutex);
         const core::service_counters c = service.counters();
-        const core::run_totals totals = service.metrics().totals();
+        const core::run_totals& totals = service.totals();
         obs::metrics_registry registry;
         service.export_service_metrics(totals, registry);
         red.export_metrics(registry);
@@ -716,6 +736,8 @@ int cmd_serve(const config& cfg) {
         core::fill_progress(totals, snap);
         expo.publish_progress(snap);
     };
+    expo.set_refresh_hook(publish);
+    publish(); // mounts /exemplars, so a 404 lists it before its first scrape
 
     // RED instrumentation: every mounted endpoint reports rate / errors
     // (5xx) / duration into the {endpoint=...}-labeled richnote.svc.http.*
@@ -766,8 +788,7 @@ int cmd_serve(const config& cfg) {
     }));
     expo.set_post_handler("/round", timed("round", [&](const std::string&) {
         std::lock_guard<std::mutex> lock(service_mutex);
-        service.run_round();
-        publish();
+        run_round();
         return obs::expo_server::post_result{
             200, "{\"rounds_run\":" + std::to_string(service.rounds_run()) + "}\n"};
     }));
@@ -795,10 +816,6 @@ int cmd_serve(const config& cfg) {
         return obs::expo_server::post_result{200, "{\"status\":\"shutting down\"}\n"};
     });
 
-    {
-        std::lock_guard<std::mutex> lock(service_mutex);
-        publish(); // /metrics and /progress valid before the first round
-    }
     std::cerr << "[serve] http://127.0.0.1:" << expo.port()
               << " — POST /ingest /round /reshard /shutdown; GET /metrics /progress"
                  " /healthz /exemplars\n";
@@ -818,8 +835,7 @@ int cmd_serve(const config& cfg) {
         std::uint64_t rounds_now = 0;
         if (interval_ms > 0 && std::chrono::steady_clock::now() >= next_round) {
             std::lock_guard<std::mutex> lock(service_mutex);
-            service.run_round();
-            publish();
+            run_round();
             rounds_now = service.rounds_run();
             next_round += std::chrono::milliseconds(interval_ms);
         } else {
@@ -829,8 +845,9 @@ int cmd_serve(const config& cfg) {
         if (max_rounds > 0 && rounds_now >= max_rounds) break;
     }
 
-    std::lock_guard<std::mutex> lock(service_mutex);
-    publish();
+    // No handler may run a round or scrape while the summary reads the
+    // service.
+    expo.stop();
     if (sink) {
         sink->finalize();
         std::cerr << "[trace] wrote " << sink->event_count() << " events to "
