@@ -36,7 +36,17 @@
 //     each time. Reports catch_up_ns_per_round: the median of that round's
 //     wall time over the deferred rounds it replayed (the caught_up_rounds
 //     delta). The round's own admissions and the still-active training
-//     users ride along, so it slightly overstates the replay.
+//     users ride along, so it slightly overstates the replay. The owed
+//     stretch is the whole fleet clock, and the replay skips most of it
+//     (broker::run_idle_rounds), so this per-round figure falls as the
+//     fleet clock grows.
+//
+//  5. Catch-up against lag: for each lag of 100, 1000 and 10000 rounds,
+//     1000 fresh lagging brokers are caught up (untimed), the fleet idles
+//     exactly that many rounds, and user_broker() then catches each of
+//     them up again, timed. Reports catch_up_us_per_broker_lag_<lag>: the
+//     wall time per broker of replaying exactly <lag> owed rounds. Below
+//     the skip threshold the cost is linear in the lag; above it, flat.
 //
 // Fleet construction is timed separately (fleet_build_sec) because elastic
 // resharding pays it again on every reshard.
@@ -52,6 +62,7 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -79,6 +90,9 @@ double seconds_since(clock_type::time_point start) {
 constexpr std::uint64_t catch_up_idle_rounds = 1000;
 constexpr std::size_t catch_up_users = 1000;
 constexpr std::size_t catch_up_reps = 5;
+
+/// Phase 5: the lags a touched broker is timed at.
+constexpr std::uint64_t catch_up_lags[] = {100, 1000, 10000};
 
 } // namespace
 
@@ -204,7 +218,10 @@ int main(int argc, char** argv) try {
     // has run their brokers yet.
     double catch_up_ns_per_round = 0.0;
     const std::size_t lagging = std::min(catch_up_users, users - std::min(users, train_users));
-    if (lagging > 0 && (users - train_users) / lagging >= catch_up_reps) {
+    const std::size_t lag_sets = std::size(catch_up_lags);
+    const bool measure_catch_up =
+        lagging > 0 && (users - train_users) / lagging >= catch_up_reps + lag_sets;
+    if (measure_catch_up) {
         std::cerr << "[perf] " << catch_up_reps << " x (idle " << catch_up_idle_rounds
                   << " rounds, time the catch-up of " << lagging << " lagging brokers)...\n";
         const std::size_t stride = (users - train_users) / lagging;
@@ -235,6 +252,32 @@ int main(int argc, char** argv) try {
         std::cerr << "[perf] users= leaves too few lagging brokers; catch-up not measured\n";
     }
 
+    // Phase 5: catch-up per touched broker against its lag (see the
+    // header). Each lag has its own set of users, none touched before.
+    std::vector<double> catch_up_us_per_broker(lag_sets, 0.0);
+    if (measure_catch_up) {
+        const std::size_t stride = (users - train_users) / lagging;
+        for (std::size_t l = 0; l < lag_sets; ++l) {
+            const auto user_at = [&](std::size_t i) {
+                return static_cast<trace::user_id>(train_users + i * stride + catch_up_reps + l);
+            };
+            for (std::size_t i = 0; i < lagging; ++i) (void)svc.user_broker(user_at(i));
+            svc.run_rounds(catch_up_lags[l]);
+            const std::uint64_t owed_before = svc.counters().caught_up_rounds;
+            const auto start = clock_type::now();
+            for (std::size_t i = 0; i < lagging; ++i) (void)svc.user_broker(user_at(i));
+            catch_up_us_per_broker[l] = seconds_since(start) * 1e6 / static_cast<double>(lagging);
+            const std::uint64_t owed = svc.counters().caught_up_rounds - owed_before;
+            if (owed != catch_up_lags[l] * lagging) {
+                std::cerr << "error: lag " << catch_up_lags[l] << " replayed " << owed
+                          << " rounds, not " << catch_up_lags[l] * lagging << "\n";
+                return 1;
+            }
+            std::cerr << "[perf] lag " << catch_up_lags[l] << ": "
+                      << catch_up_us_per_broker[l] << " us per caught-up broker\n";
+        }
+    }
+
     const std::string uarch = std::string(ml::simd::arch_name()) + "/" +
                               ml::simd::isa_name(ml::simd::active_isa());
 
@@ -260,8 +303,11 @@ int main(int argc, char** argv) try {
          << ", \"active_users\": " << active_users
          << ", \"caught_up_rounds\": " << caught_up_rounds
          << ", \"publish_ms\": " << publish_ms
-         << ", \"catch_up_ns_per_round\": " << catch_up_ns_per_round
-         << ", \"admitted\": " << after.admitted << "},\n"
+         << ", \"catch_up_ns_per_round\": " << catch_up_ns_per_round;
+    for (std::size_t l = 0; l < lag_sets; ++l)
+        json << ", \"catch_up_us_per_broker_lag_" << catch_up_lags[l]
+             << "\": " << catch_up_us_per_broker[l];
+    json << ", \"admitted\": " << after.admitted << "},\n"
          << "  \"ingest\": {\"messages\": " << burst
          << ", \"wall_sec\": " << ingest_wall
          << ", \"ingest_msgs_per_sec\": " << ingest_msgs_per_sec
@@ -293,6 +339,9 @@ int main(int argc, char** argv) try {
         manifest.add_timing("caught_up_rounds", static_cast<double>(caught_up_rounds));
         manifest.add_timing("publish_ms", publish_ms);
         manifest.add_timing("catch_up_ns_per_round", catch_up_ns_per_round);
+        for (std::size_t l = 0; l < lag_sets; ++l)
+            manifest.add_timing("catch_up_us_per_broker_lag_" + std::to_string(catch_up_lags[l]),
+                                catch_up_us_per_broker[l]);
         manifest.add_timing("ingest_msgs_per_sec", ingest_msgs_per_sec);
         manifest.write_file(cfg.get_string("manifest", ""));
         std::cerr << "[perf] wrote manifest to " << cfg.get_string("manifest", "") << '\n';

@@ -46,6 +46,14 @@ public:
         return result;
     }
 
+    /// Advances the stream by `n` raw draws, leaving it exactly where n
+    /// calls of operator() would; a cached normal() deviate is kept, as
+    /// those calls would keep it. xoshiro256**'s state transition is linear
+    /// over GF(2), so a long jump applies the transition's powers T^(2^i)
+    /// for the set bits of n (a table of 64 such 256x256 bit matrices,
+    /// 0.5 MB, built on the first long jump). Short jumps step instead.
+    void discard(std::uint64_t n) noexcept;
+
     /// Creates an independent child stream (useful to give each simulated
     /// user / component its own generator without correlated sequences).
     rng split() noexcept;

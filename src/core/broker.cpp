@@ -1,6 +1,7 @@
 #include "core/broker.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/error.hpp"
 #include "obs/lifecycle.hpp"
@@ -126,9 +127,7 @@ round_context broker::open_round(sim_time now, bool brownout) {
 
     // 3. Budget replenishment with capped rollover; a battery brownout
     // suspends the energy replenishment e(t) for the round.
-    data_budget_ = std::min(data_budget_ + params_.budget_per_round_bytes,
-                            params_.budget_per_round_bytes *
-                                std::max(1.0, params_.rollover_rounds));
+    roll_budget_over();
     ctx.data_budget_bytes = data_budget_;
     ctx.energy_replenishment =
         brownout ? 0.0 : params_.energy_policy.replenishment(*battery_);
@@ -136,12 +135,62 @@ round_context broker::open_round(sim_time now, bool brownout) {
     return ctx;
 }
 
+void broker::roll_budget_over() noexcept {
+    data_budget_ = std::min(data_budget_ + params_.budget_per_round_bytes,
+                            params_.budget_per_round_bytes *
+                                std::max(1.0, params_.rollover_rounds));
+}
+
+std::uint64_t broker::idle_rounds_to_skip(std::uint64_t rounds, sim_time start,
+                                          sim_time period) const noexcept {
+    // The network chain must forget its state in one step, and the clock
+    // must be exact: integral sums below 2^53 are, so round j of the
+    // stretch starts at start + j * period bit for bit.
+    constexpr double exact_below = 0x1p53;
+    if (rounds <= min_idle_skip || !network_.memoryless() || start < 0.0 || period <= 0.0 ||
+        start != std::floor(start) || period != std::floor(period) ||
+        start + static_cast<double>(rounds) * period >= exact_below)
+        return 0;
+    // The latest round within a day of the stretch's end whose battery
+    // step resets the battery; the rounds before it are skipped.
+    for (std::uint64_t j = rounds - 1;
+         j >= min_idle_skip && static_cast<double>(rounds - j) * period <= richnote::sim::days;
+         --j) {
+        if (battery_->idle_step_resets(start + static_cast<double>(j) * period, params_.round))
+            return j;
+    }
+    return 0;
+}
+
 sim_time broker::run_idle_rounds(std::uint64_t rounds, sim_time start, sim_time period) {
     RICHNOTE_ASSERT_VALID(
         RICHNOTE_CHECK(params_.faults == nullptr && scheduler_->queue_size() == 0,
                        "only a fault-free broker with an empty queue idles"));
     sim_time t = start;
-    for (std::uint64_t k = 0; k < rounds; ++k) {
+    // Head: until the scheduler's round is a no-op, every round counts.
+    for (; rounds > 0 && !scheduler_->idle_steady(); --rounds) {
+        open_round(t, false);
+        t += period;
+    }
+    // Skip: what the skipped rounds leave behind that a later round still
+    // sees is the stream position (one chain draw a round), the round index
+    // and the budget. The chain's and the battery's states are rebuilt by
+    // the first tail round, and the scheduler's round changes nothing.
+    if (const std::uint64_t skip = idle_rounds_to_skip(rounds, t, period); skip > 0) {
+        env_rng_.discard(skip);
+        round_index_ += skip;
+        // The rollover recursion reaches its cap within rollover_rounds
+        // steps and then stays: stop at the fixed point.
+        for (std::uint64_t k = 0; k < skip; ++k) {
+            const double before = data_budget_;
+            roll_budget_over();
+            if (data_budget_ == before) break;
+        }
+        t += static_cast<double>(skip) * period;
+        rounds -= skip;
+    }
+    // Tail: the rest, the resetting round first, round by round.
+    for (; rounds > 0; --rounds) {
         open_round(t, false);
         t += period;
     }

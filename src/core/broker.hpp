@@ -11,6 +11,11 @@
 //      link, deducting data budget and energy per delivery (step 3) and
 //      timestamping each delivery by the bytes already sent this round.
 //
+// An idle round (empty queue, no fault plan) is steps 1 and 3 alone. A
+// broker idle for k rounds is caught up by run_idle_rounds(k), bit for bit,
+// in time independent of k once its scheduler and battery allow (DESIGN.md
+// §11, "Skipping idle rounds").
+//
 // Resilience (DESIGN.md "Fault model & recovery"): admission is idempotent
 // (replayed publishes are suppressed by id), interrupted transfers charge
 // only the bytes actually moved and resume from a per-item high-water mark,
@@ -126,6 +131,17 @@ public:
     /// and no fault plan a round is exactly open_round(): nothing is
     /// planned, delivered or emitted. The deferring round engine catches a
     /// lagging broker up through this.
+    ///
+    /// It leaves the broker bit for bit where that many open_round() calls
+    /// would, and where the skip below applies its cost does not grow with
+    /// `rounds`. A head of rounds runs until the scheduler is idle-steady
+    /// (scheduler::idle_steady). Then, when the chain is memoryless, the
+    /// clock exact and a battery step that resets the battery lies within a
+    /// day of the stretch's end, every round before the latest such step is
+    /// skipped: the skip jumps the environment stream by one draw a round
+    /// (rng::discard), adds to the round index and runs the budget rollover
+    /// to its cap. The tail, from the resetting round on, runs round by
+    /// round.
     richnote::sim::sim_time run_idle_rounds(std::uint64_t rounds,
                                             richnote::sim::sim_time start,
                                             richnote::sim::sim_time period);
@@ -183,6 +199,25 @@ private:
     /// round's context with the chain's state as its network and no link
     /// yet; run_round() applies a blackout and the link profile.
     round_context open_round(richnote::sim::sim_time now, bool brownout);
+
+    /// Algorithm 2 step 2's budget replenishment with capped rollover.
+    void roll_budget_over() noexcept;
+
+    /// How many of `rounds` idle rounds from `start` run_idle_rounds may
+    /// skip outright, given an idle-steady scheduler: the index of the
+    /// latest round whose battery step resets, or 0 when the skip's
+    /// exactness conditions do not hold or it would cover too few rounds.
+    std::uint64_t idle_rounds_to_skip(std::uint64_t rounds, richnote::sim::sim_time start,
+                                      richnote::sim::sim_time period) const noexcept;
+
+    /// Fewest rounds worth skipping. A skip (stream jump, rollover
+    /// recursion, search for the resetting round, a tail of up to a day)
+    /// costs 1.4-2.1 us, as much as 70-110 idle rounds at ~19 ns
+    /// (perf_service's catch_up_us_per_broker_lag_* series, x86-64,
+    /// Release). From 256 rounds a skip costs under half the rounds it
+    /// replaces, and replays whose lags stay within a week of hourly rounds
+    /// keep to the round-by-round path.
+    static constexpr std::uint64_t min_idle_skip = 256;
 
     trace::user_id user_;
     broker_params params_;

@@ -100,9 +100,9 @@ std::uint64_t round_engine::catch_up(trace::user_id u) {
     RICHNOTE_ASSERT_VALID(RICHNOTE_CHECK(b.sched().queue_size() == 0,
                                          "a deferred broker has queued work"));
     // Each missed round was idle, so it was only the prefix every round
-    // starts with (broker::run_idle_rounds). The clock re-accumulates
-    // exactly as run_round() advanced now_, so replayed round k sees the
-    // bits the sweep would have passed it.
+    // starts with (broker::run_idle_rounds, which skips what it can). The
+    // clock re-accumulates exactly as run_round() advanced now_, so
+    // replayed round k sees the bits the sweep would have passed it.
     const sim_time t = b.run_idle_rounds(rounds_run_ - lag_from, owed_start_[u], params_.round);
     RICHNOTE_ASSERT_VALID(
         RICHNOTE_CHECK(t == now_, "catch-up clock drifted from the driver's"));

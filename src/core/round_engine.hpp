@@ -19,12 +19,13 @@
 //
 // Idle-broker deferral: a broker whose scheduling queue is empty, and whose
 // source holds nothing for it, leaves the active list and lags. Before it is
-// next admitted to, run or exposed through user_broker(), each round it
-// missed is replayed through broker::run_idle_rounds, its clock
+// next admitted to, run or exposed through user_broker(), the rounds it
+// missed are replayed through broker::run_idle_rounds, its clock
 // re-accumulated from the first missed round's start. An idle round moves
 // only broker-private state (round index, network chain, battery, budget
 // rollover, P(t)) and emits nothing: it is the prefix every
-// broker::run_round starts with, and the replay runs that same prefix, so
+// broker::run_round starts with, and the replay runs that same prefix, or
+// skips a long stretch of it exactly, in time independent of the lag; so
 // the replay is the sweep — but only while nothing else looks at or
 // perturbs an idle round. The engine therefore defers only when the run has
 //   - no fault plan (blackouts, brownouts and crash-restarts mutate an idle
@@ -136,7 +137,8 @@ public:
     const std::shared_ptr<telemetry>& trajectories() const noexcept { return trajectories_; }
     /// Brokers the last round ran (the active list it sharded).
     std::size_t active_users() const noexcept { return active_users_; }
-    /// Deferred idle rounds replayed when a lagging broker was touched.
+    /// Deferred idle rounds replayed when a lagging broker was touched,
+    /// skipped ones included.
     std::uint64_t caught_up_rounds() const noexcept { return caught_up_rounds_; }
 
 private:

@@ -171,6 +171,12 @@ void richnote_scheduler::open_round(const round_context& ctx) {
     }
 }
 
+bool richnote_scheduler::idle_steady() const noexcept {
+    // on_round() adds e(t) only while P(t) <= kappa, and an idle round
+    // spends nothing, so past kappa P(t) stays put; expiry finds no item.
+    return controller_.energy_credit() > controller_.params().kappa;
+}
+
 const std::vector<planned_delivery>& richnote_scheduler::build_plan(const round_context& ctx) {
     RICHNOTE_PROFILE_SCOPE(obs::profile_slot::scheduler_plan);
     plan_.clear();
@@ -347,6 +353,11 @@ void direct_scheduler::open_round(const round_context& ctx) {
     // Accrue this round's energy budget, banked up to the cap.
     energy_credit_ = std::min(energy_credit_ + params_.kappa_joules_per_round,
                               params_.kappa_joules_per_round * params_.energy_accrual_rounds);
+}
+
+bool direct_scheduler::idle_steady() const noexcept {
+    // At the cap, open_round()'s min() gives the cap back.
+    return energy_credit_ == params_.kappa_joules_per_round * params_.energy_accrual_rounds;
 }
 
 const std::vector<planned_delivery>& direct_scheduler::build_plan(const round_context& ctx) {

@@ -114,6 +114,13 @@ public:
     /// this is the whole of the scheduler's round (broker::open_round).
     virtual void open_round(const round_context& ctx) { trace_round_ = ctx.round; }
 
+    /// With an empty queue: whether open_round() is now a no-op, apart from
+    /// the round it notes, and stays one however many idle rounds follow.
+    /// broker::run_idle_rounds skips only the rounds of a steady scheduler.
+    /// RichNote is steady once P(t) > kappa, Direct once its credit is at
+    /// the cap; the fixed-level baselines always are.
+    virtual bool idle_steady() const noexcept { return true; }
+
     /// Builds the delivery plan of the round open_round(ctx) opened. The
     /// returned reference points at a per-scheduler buffer reused across
     /// rounds (the zero-allocation hot path); it stays valid while the
@@ -323,6 +330,7 @@ public:
     const char* name() const noexcept override { return "RichNote"; }
     void enqueue(sched_item item) override;
     void open_round(const round_context& ctx) override;
+    bool idle_steady() const noexcept override;
     const std::vector<planned_delivery>& build_plan(const round_context& ctx) override;
     bool allow_delivery(double rho_joules) const noexcept override;
     void on_session_overhead(double joules) override;
@@ -397,6 +405,7 @@ public:
 
     const char* name() const noexcept override { return "Direct"; }
     void open_round(const round_context& ctx) override;
+    bool idle_steady() const noexcept override;
     const std::vector<planned_delivery>& build_plan(const round_context& ctx) override;
     bool allow_delivery(double rho_joules) const noexcept override;
     void on_session_overhead(double joules) override;

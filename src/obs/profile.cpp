@@ -86,7 +86,10 @@ struct thread_state {
         : lane(lane_index), ring(std::make_unique<span_ring>(ring_capacity)) {}
 
     std::uint32_t lane;
-    std::uint32_t countdown = 1; ///< entries until the next timed sample
+    /// Entries until the next timed sample. Only the owning thread counts
+    /// it down; profile_reset()/profile_configure() rewind it to 1 while the
+    /// profiled threads are quiescent, hence relaxed atomic loads/stores.
+    std::atomic<std::uint32_t> countdown{1};
     std::unique_ptr<span_ring> ring; ///< replaced on reacquire if reconfigured
     std::array<std::atomic<std::uint64_t>, profile_slot_count> calls{};
     std::array<std::atomic<std::uint64_t>, profile_slot_count> sampled_calls{};
@@ -111,7 +114,7 @@ struct lane_registry {
         for (auto& lane : lanes) {
             if (!lane->in_use) {
                 lane->in_use = true;
-                lane->countdown = 1;
+                lane->countdown.store(1, std::memory_order_relaxed);
                 // Honour a reconfigured ring size on reuse; undrained spans
                 // from the previous owner are stale by then (configure is
                 // documented quiescent-only).
@@ -155,10 +158,13 @@ thread_state& profile_enter(profile_slot slot, std::uint64_t& start_ns) noexcept
     if (t_lane.state == nullptr) t_lane.state = lanes().acquire();
     thread_state& state = *t_lane.state;
     bump(state.calls[static_cast<std::size_t>(slot)]);
-    if (--state.countdown == 0) {
-        state.countdown = g_sample_every.load(std::memory_order_relaxed);
+    const std::uint32_t left = state.countdown.load(std::memory_order_relaxed) - 1;
+    if (left == 0) {
+        state.countdown.store(g_sample_every.load(std::memory_order_relaxed),
+                              std::memory_order_relaxed);
         start_ns = now_ns();
     } else {
+        state.countdown.store(left, std::memory_order_relaxed);
         start_ns = 0;
     }
     return state;
@@ -193,6 +199,11 @@ void profile_configure(const profile_config& cfg) {
                          std::memory_order_relaxed);
     g_ring_capacity.store(cfg.ring_capacity == 0 ? 1 : cfg.ring_capacity,
                           std::memory_order_relaxed);
+    // Every lane samples its next entry and then counts the new period,
+    // instead of finishing the old period's countdown.
+    auto& registry = detail::lanes();
+    std::lock_guard<std::mutex> lock(registry.mutex);
+    for (auto& lane : registry.lanes) lane->countdown.store(1, std::memory_order_relaxed);
 }
 
 profile_config profile_configuration() {
@@ -240,6 +251,7 @@ void profile_reset() noexcept {
             lane->sampled_nanos[s].store(0, std::memory_order_relaxed);
         }
         lane->dropped.store(0, std::memory_order_relaxed);
+        lane->countdown.store(1, std::memory_order_relaxed);
         discard.clear();
         lane->ring->drain(discard);
     }

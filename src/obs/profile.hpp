@@ -84,8 +84,10 @@ struct profile_config {
     std::uint32_t ring_capacity = 1u << 13;
 };
 
-/// Installs a new sampling configuration. Call while profiling is disabled;
-/// the ring capacity applies to lanes created afterwards.
+/// Installs a new sampling configuration. Call while profiling is disabled
+/// and the profiled threads are quiescent: every lane samples its next
+/// entry and then counts the new period; the ring capacity applies to lanes
+/// created or reused afterwards.
 void profile_configure(const profile_config& cfg);
 profile_config profile_configuration();
 
@@ -99,8 +101,9 @@ bool profile_enabled() noexcept;
 /// Accumulated totals for one slot across all thread lanes.
 profile_totals profile_read(profile_slot slot) noexcept;
 
-/// Zeroes every slot's totals and discards buffered spans. Call while the
-/// profiled threads are quiescent (benchmarks call this between phases).
+/// Zeroes every slot's totals, discards buffered spans and restarts every
+/// lane's sampling period at its next entry. Call while the profiled
+/// threads are quiescent (benchmarks call this between phases).
 void profile_reset() noexcept;
 
 /// Drains buffered spans from every lane's ring into `out` (appended).

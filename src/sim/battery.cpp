@@ -37,6 +37,13 @@ void battery_model::step(sim_time t, sim_time dt, double extra_joules) noexcept 
     level_ = std::clamp(level_ + delta_joules / params_.capacity_joules, 0.0, 1.0);
 }
 
+bool battery_model::idle_step_resets(sim_time t, sim_time dt) const noexcept {
+    // The same operations step() performs with nothing drained: the level
+    // is in [0, 1], so level + x rounds to at least x >= 1 and clamps to 1.
+    return in_charge_window(hour_of_day(t)) &&
+           params_.charge_watts * dt / params_.capacity_joules >= 1.0;
+}
+
 void battery_model::drain(double joules) noexcept {
     level_ = std::clamp(level_ - joules / params_.capacity_joules, 0.0, 1.0);
 }

@@ -38,6 +38,11 @@ public:
     /// Drains energy immediately (no-op for trace replays).
     virtual void drain(double joules) noexcept = 0;
 
+    /// True when step(t, dt, 0) leaves the battery in a state that does not
+    /// depend on its state before the step, so every earlier idle step can
+    /// be skipped without changing anything after this one.
+    virtual bool idle_step_resets(sim_time t, sim_time dt) const noexcept = 0;
+
     /// Deep copy, preserving the full mutable state (checkpoint/restore for
     /// crash-restart recovery).
     virtual std::unique_ptr<battery_source> clone() const = 0;
@@ -71,6 +76,10 @@ public:
 
     /// Drains energy immediately (clamped at empty).
     void drain(double joules) noexcept override;
+
+    /// A step in the charge window drains nothing; when a full step's
+    /// charge fills the battery from empty, it clamps the level to 1.
+    bool idle_step_resets(sim_time t, sim_time dt) const noexcept override;
 
     std::unique_ptr<battery_source> clone() const override {
         return std::make_unique<battery_model>(*this);

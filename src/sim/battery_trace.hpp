@@ -62,6 +62,12 @@ public:
     bool charging() const noexcept override;
     void step(sim_time t, sim_time dt, double extra_joules) noexcept override;
     void drain(double joules) noexcept override { (void)joules; }
+    /// The replay's state is the trace at the step's end, whatever came before.
+    bool idle_step_resets(sim_time t, sim_time dt) const noexcept override {
+        (void)t;
+        (void)dt;
+        return true;
+    }
 
     std::unique_ptr<battery_source> clone() const override {
         return std::make_unique<traced_battery>(*this);

@@ -77,6 +77,12 @@ markov_network_model markov_network_model::fixed(net_state state) {
     return markov_network_model(m, state);
 }
 
+bool markov_network_model::memoryless() const noexcept {
+    for (const auto& row : matrix_)
+        if (row != matrix_[0]) return false;
+    return true;
+}
+
 std::array<double, net_state_count> markov_network_model::stationary(
     std::size_t iterations) const noexcept {
     std::array<double, net_state_count> pi{};

@@ -78,6 +78,11 @@ public:
 
     const net_transition_matrix& matrix() const noexcept { return matrix_; }
 
+    /// True when every row is the same, so a step's state depends on its
+    /// draw alone and not on the state before it (cellular_only,
+    /// cellular_with_coverage and fixed chains; not with_wifi).
+    bool memoryless() const noexcept;
+
     /// Stationary distribution by power iteration (reporting / tests).
     std::array<double, net_state_count> stationary(std::size_t iterations = 200) const noexcept;
 

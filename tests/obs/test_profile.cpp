@@ -67,6 +67,33 @@ TEST_F(profile_suite, sample_every_one_times_every_call) {
     EXPECT_EQ(richnote::obs::profile_drain(spans), 0u);
 }
 
+TEST_F(profile_suite, reset_and_configure_restart_the_sampling_period) {
+    // Leave this thread's lane mid-period at sample_every=7 (10 calls: the
+    // 1st and 8th sampled, 5 more to the next sample), then reset and
+    // sample every call: a stale countdown would skip the first four.
+    profile_config cfg;
+    cfg.sample_every = 7;
+    richnote::obs::profile_configure(cfg);
+    richnote::obs::profile_set_enabled(true);
+    for (int i = 0; i < 10; ++i) {
+        RICHNOTE_PROFILE_SCOPE(profile_slot::forest_fit);
+    }
+    richnote::obs::profile_set_enabled(false);
+    EXPECT_EQ(richnote::obs::profile_read(profile_slot::forest_fit).sampled_calls, 2u);
+
+    richnote::obs::profile_reset();
+    cfg.sample_every = 1;
+    richnote::obs::profile_configure(cfg);
+    richnote::obs::profile_set_enabled(true);
+    for (int i = 0; i < 5; ++i) {
+        RICHNOTE_PROFILE_SCOPE(profile_slot::forest_fit);
+    }
+    richnote::obs::profile_set_enabled(false);
+    const auto totals = richnote::obs::profile_read(profile_slot::forest_fit);
+    EXPECT_EQ(totals.calls, 5u);
+    EXPECT_EQ(totals.sampled_calls, 5u);
+}
+
 TEST_F(profile_suite, sampling_counts_all_calls_and_scales_the_estimate) {
     profile_config cfg;
     cfg.sample_every = 4;

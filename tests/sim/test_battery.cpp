@@ -56,6 +56,25 @@ TEST(battery, charges_overnight) {
     EXPECT_GT(b.level(), 0.2);
 }
 
+TEST(battery, a_resetting_idle_step_forgets_the_level) {
+    // 7.5 W for an hour is 1.35 of the 20 kJ capacity: inside the charge
+    // window one idle step lands on exactly 1 from any level.
+    for (const double level : {0.0, 0.3, 1.0}) {
+        rng gen(1);
+        battery_params p = no_jitter_params();
+        p.initial_level = level;
+        battery_model b(p, gen);
+        ASSERT_TRUE(b.idle_step_resets(23.0 * t::hours, t::hours));
+        b.step(23.0 * t::hours, t::hours, 0.0);
+        EXPECT_EQ(b.level(), 1.0);
+        EXPECT_TRUE(b.charging());
+    }
+    rng gen(1);
+    battery_model b(no_jitter_params(), gen);
+    EXPECT_FALSE(b.idle_step_resets(12.0 * t::hours, t::hours)); // outside the window
+    EXPECT_FALSE(b.idle_step_resets(23.0 * t::hours, 0.5 * t::hours)); // 0.675 < 1
+}
+
 TEST(battery, charge_window_wraps_midnight) {
     rng gen(1);
     battery_params p = no_jitter_params();

@@ -205,6 +205,21 @@ TEST(network, branch_free_step_matches_the_first_match_scan) {
     }
 }
 
+TEST(network, a_memoryless_chain_forgets_its_state_in_one_step) {
+    EXPECT_TRUE(markov_network_model::cellular_only().memoryless());
+    EXPECT_TRUE(markov_network_model::cellular_with_coverage(0.3).memoryless());
+    EXPECT_TRUE(markov_network_model::fixed(net_state::wifi).memoryless());
+    EXPECT_FALSE(markov_network_model::with_wifi().memoryless());
+    // From either start state, the same draw gives the same next state.
+    auto a = markov_network_model::cellular_with_coverage(0.3, net_state::off);
+    auto b = markov_network_model::cellular_with_coverage(0.3, net_state::cell);
+    rng draws(5);
+    for (int i = 0; i < 100; ++i) {
+        const double u = draws.uniform();
+        EXPECT_EQ(a.advance(u), b.advance(u));
+    }
+}
+
 TEST(link_profile, off_carries_nothing) {
     const auto p = default_link_profile(net_state::off);
     EXPECT_FALSE(p.connected);
