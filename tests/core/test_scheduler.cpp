@@ -11,6 +11,7 @@
 namespace {
 
 using richnote::core::audio_preview_generator;
+using richnote::core::direct_scheduler;
 using richnote::core::fifo_scheduler;
 using richnote::core::level_t;
 using richnote::core::planned_delivery;
@@ -280,6 +281,62 @@ TEST(richnote, link_capacity_caps_unmetered_budget) {
     wifi.link_capacity_bytes = 2'000.0; // only metas fit
     const auto plan = s.plan(wifi);
     for (const auto& d : plan) EXPECT_EQ(d.level, 1u);
+}
+
+// ------------------------------------------------------ idle_steady ----
+// broker::run_idle_rounds skips the rounds of an idle-steady scheduler, so
+// idle_steady() may hold only once further idle open_round() calls change
+// nothing.
+
+TEST(idle_steady, fixed_level_baselines_always_are) {
+    fifo_scheduler fifo(3, g_energy);
+    util_scheduler util(3, g_energy);
+    EXPECT_TRUE(fifo.idle_steady());
+    EXPECT_TRUE(util.idle_steady());
+    for (int r = 0; r < 5; ++r) {
+        fifo.open_round(cell_ctx(0.0));
+        util.open_round(cell_ctx(0.0));
+    }
+    EXPECT_TRUE(fifo.idle_steady());
+    EXPECT_TRUE(util.idle_steady());
+}
+
+TEST(idle_steady, richnote_is_steady_once_its_credit_passes_kappa) {
+    richnote_scheduler::params p;
+    p.lyapunov.initial_energy_credit = 0.0;
+    richnote_scheduler s(p, g_energy);
+    const round_context ctx = cell_ctx(0.0); // e(t) = 3000 = kappa
+    EXPECT_FALSE(s.idle_steady());
+    s.open_round(ctx); // P = kappa: the next round still adds e(t)
+    EXPECT_EQ(s.energy_credit_joules(), p.lyapunov.kappa);
+    EXPECT_FALSE(s.idle_steady());
+    s.open_round(ctx);
+    ASSERT_TRUE(s.idle_steady());
+    const double settled = s.energy_credit_joules();
+    for (int r = 0; r < 50; ++r) s.open_round(ctx);
+    EXPECT_TRUE(s.idle_steady());
+    EXPECT_EQ(s.energy_credit_joules(), settled);
+    // Spending below kappa makes the rounds count again.
+    s.on_session_overhead(settled - p.lyapunov.kappa);
+    EXPECT_FALSE(s.idle_steady());
+}
+
+TEST(idle_steady, direct_is_steady_exactly_at_its_credit_cap) {
+    const direct_scheduler::params p;
+    direct_scheduler s(p, g_energy);
+    const double cap = p.kappa_joules_per_round * p.energy_accrual_rounds;
+    int rounds = 0;
+    for (; !s.idle_steady() && rounds < 100; ++rounds) {
+        EXPECT_LT(s.energy_credit(), cap);
+        s.open_round(cell_ctx(0.0));
+    }
+    EXPECT_EQ(rounds, 23); // it starts with one round's kappa banked
+    EXPECT_EQ(s.energy_credit(), cap);
+    for (int r = 0; r < 50; ++r) s.open_round(cell_ctx(0.0));
+    EXPECT_TRUE(s.idle_steady());
+    EXPECT_EQ(s.energy_credit(), cap);
+    s.on_session_overhead(1.0);
+    EXPECT_FALSE(s.idle_steady());
 }
 
 } // namespace

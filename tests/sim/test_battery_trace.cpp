@@ -106,6 +106,20 @@ TEST(traced_battery_test, works_as_a_battery_source_for_the_policy) {
     EXPECT_DOUBLE_EQ(policy.replenishment(dying), 0.0);
 }
 
+TEST(traced_battery_test, an_idle_step_lands_on_the_trace_whatever_came_before) {
+    traced_battery fresh(small_trace());
+    traced_battery moved(small_trace());
+    moved.step(0.0, 250.0, 0.0);
+    ASSERT_NE(fresh.level(), moved.level());
+    EXPECT_TRUE(fresh.idle_step_resets(100.0, 50.0));
+    EXPECT_TRUE(moved.idle_step_resets(100.0, 50.0));
+    fresh.step(100.0, 50.0, 0.0);
+    moved.step(100.0, 50.0, 0.0);
+    EXPECT_EQ(fresh.level(), moved.level());
+    EXPECT_EQ(fresh.level(), 0.8);
+    EXPECT_EQ(fresh.charging(), moved.charging());
+}
+
 TEST(battery_trace_test, file_round_trip_and_missing_file) {
     const std::string path = ::testing::TempDir() + "richnote_battery_trace.csv";
     small_trace().save(path);
