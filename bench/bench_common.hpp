@@ -9,11 +9,15 @@
 #pragma once
 
 #include <chrono>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/config.hpp"
@@ -24,6 +28,31 @@
 #include "obs/run_manifest.hpp"
 
 namespace richnote::bench {
+
+/// FNV-1a 64 folding `bytes` into `hash` (start from fnv1a_offset). The set-up
+/// harnesses checksum forests, U_c tables and fleets with it: two checksums
+/// match only when every byte does.
+constexpr std::uint64_t fnv1a_offset = 0xcbf29ce484222325ULL;
+inline std::uint64_t fnv1a(std::uint64_t hash, std::string_view bytes) noexcept {
+    for (const char c : bytes) {
+        hash ^= static_cast<unsigned char>(c);
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
+}
+/// fnv1a over a double's bit pattern.
+inline std::uint64_t fnv1a(std::uint64_t hash, double value) noexcept {
+    char bytes[sizeof value];
+    std::memcpy(bytes, &value, sizeof value);
+    return fnv1a(hash, std::string_view(bytes, sizeof value));
+}
+/// A checksum as a quoted JSON hex string ("0x..."), exact where a JSON
+/// number would round a 64-bit value.
+inline std::string json_hex(std::uint64_t value) {
+    char text[24];
+    std::snprintf(text, sizeof text, "\"0x%016llx\"", static_cast<unsigned long long>(value));
+    return text;
+}
 
 /// The §V-D1 sweep: weekly data budget from 1 MB to 100 MB.
 inline const std::vector<double> default_budgets_mb = {1, 2, 5, 10, 20, 50, 100};

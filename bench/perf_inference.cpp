@@ -13,8 +13,15 @@
 //                  cached_content_utility precompute path;
 //  - flat_batch_mt: the same batch sharded across worker threads.
 // Each scorer runs repeat= passes and reports its best items/sec (best-of-N
-// rides out scheduler noise). The harness also times random_forest::fit
-// sequentially and with fit_threads= threads, and verifies that every path
+// rides out scheduler noise).
+//
+// It also times the two set-up steps experiment_setup runs on every core
+// (DESIGN.md §8.2), each on one thread and on fit_threads= threads
+// (0 = every hardware thread), best of repeat= passes: random_forest::fit,
+// and cached_content_utility scoring a generated 2000-user trace through
+// the forest. Each step reports a checksum per thread count (FNV-1a
+// over the saved forest's bytes, and over the U_c table in id order); the
+// harness fails unless the two match. It verifies that every path
 // — including the batch under BOTH dispatch targets (the active kernel and
 // the forced-scalar fallback) — produces bit-identical probabilities before
 // reporting anything. The detected ISA + chosen kernel is reported as the
@@ -28,16 +35,21 @@
 //                       [fit_threads=0] [json=PATH]
 #include <array>
 #include <chrono>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "common/config.hpp"
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "core/utility.hpp"
 #include "ml/flat_forest.hpp"
 #include "ml/random_forest.hpp"
 #include "ml/simd_dispatch.hpp"
@@ -76,6 +88,26 @@ double best_of(std::size_t repeat, F&& body) {
     return best;
 }
 
+/// Users in the trace the U_c cache is timed on: ~150k notes, enough for
+/// every thread to score many 1024-row blocks.
+constexpr std::size_t cache_users = 2000;
+
+std::uint64_t forest_checksum(const richnote::ml::random_forest& forest) {
+    std::ostringstream bytes;
+    forest.save(bytes);
+    return richnote::bench::fnv1a(richnote::bench::fnv1a_offset, bytes.str());
+}
+
+/// FNV-1a over the cached U_c table in id order (the generator numbers the
+/// trace's notes 0..n-1 in per-user stream order).
+std::uint64_t table_checksum(const richnote::core::cached_content_utility& cache,
+                             const richnote::trace::notification_trace& trace) {
+    std::uint64_t hash = richnote::bench::fnv1a_offset;
+    for (const auto& stream : trace.per_user)
+        for (const auto& n : stream) hash = richnote::bench::fnv1a(hash, cache.content_utility(n));
+    return hash;
+}
+
 } // namespace
 
 int main(int argc, char** argv) try {
@@ -89,6 +121,7 @@ int main(int argc, char** argv) try {
     const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 1));
     const auto repeat = static_cast<std::size_t>(cfg.get_int("repeat", 5));
     const auto fit_threads = static_cast<std::size_t>(cfg.get_int("fit_threads", 0));
+    const std::size_t threads = resolve_threads(fit_threads, SIZE_MAX);
 
     std::cerr << "[perf] generating " << rows << " rows, training " << trees
               << " trees...\n";
@@ -107,6 +140,29 @@ int main(int argc, char** argv) try {
     params.fit_threads = fit_threads;
     const double fit_parallel_sec =
         best_of(repeat, [&] { forest_parallel.fit(train, params, seed); });
+
+    const std::uint64_t fit_sequential_checksum = forest_checksum(forest);
+    const std::uint64_t fit_parallel_checksum = forest_checksum(forest_parallel);
+    RICHNOTE_CHECK(fit_parallel_checksum == fit_sequential_checksum,
+                   "parallel fit saved different forest bytes");
+
+    std::cerr << "[perf] generating a " << cache_users << "-user trace for the U_c cache...\n";
+    trace::workload_params workload;
+    workload.user_count = cache_users;
+    const trace::workload world(workload, seed);
+    const auto& notes = world.notifications();
+    const core::forest_content_utility model(std::make_shared<ml::random_forest>(forest));
+    std::unique_ptr<core::cached_content_utility> cache;
+    const double cache_sequential_sec = best_of(repeat, [&] {
+        cache = std::make_unique<core::cached_content_utility>(notes, model, 1);
+    });
+    const std::uint64_t cache_sequential_checksum = table_checksum(*cache, notes);
+    const double cache_parallel_sec = best_of(repeat, [&] {
+        cache = std::make_unique<core::cached_content_utility>(notes, model, fit_threads);
+    });
+    const std::uint64_t cache_parallel_checksum = table_checksum(*cache, notes);
+    RICHNOTE_CHECK(cache_parallel_checksum == cache_sequential_checksum,
+                   "U_c cache scored on several threads differs from one thread");
 
     const ml::flat_forest flat(forest);
     const std::string uarch =
@@ -187,7 +243,16 @@ int main(int argc, char** argv) try {
          << ", \"bit_identical\": true},\n"
          << "  \"fit\": {\"sequential_sec\": " << fit_sequential_sec
          << ", \"parallel_sec\": " << fit_parallel_sec
-         << ", \"checksum\": " << checksum << "}\n"
+         << ", \"threads\": " << threads
+         << ", \"sequential_checksum\": " << richnote::bench::json_hex(fit_sequential_checksum)
+         << ", \"parallel_checksum\": " << richnote::bench::json_hex(fit_parallel_checksum)
+         << ", \"checksum\": " << checksum << "},\n"
+         << "  \"cache\": {\"users\": " << cache_users << ", \"notes\": " << notes.total_count
+         << ", \"sequential_sec\": " << cache_sequential_sec
+         << ", \"parallel_sec\": " << cache_parallel_sec
+         << ", \"threads\": " << threads
+         << ", \"sequential_checksum\": " << richnote::bench::json_hex(cache_sequential_checksum)
+         << ", \"parallel_checksum\": " << richnote::bench::json_hex(cache_parallel_checksum) << "}\n"
          << "}\n";
 
     if (cfg.has("json")) {
@@ -213,6 +278,8 @@ int main(int argc, char** argv) try {
         manifest.add_timing("flat_batch_mt_items_per_sec", flat_batch_mt_rate);
         manifest.add_timing("fit_sequential_sec", fit_sequential_sec);
         manifest.add_timing("fit_parallel_sec", fit_parallel_sec);
+        manifest.add_timing("cache_sequential_sec", cache_sequential_sec);
+        manifest.add_timing("cache_parallel_sec", cache_parallel_sec);
         manifest.write_file(cfg.get_string("manifest", ""));
         std::cerr << "[perf] wrote manifest to " << cfg.get_string("manifest", "") << '\n';
     }

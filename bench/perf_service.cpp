@@ -29,27 +29,21 @@
 //     Reports publish_ms, the median per round; it is timed apart from the
 //     round itself, so service_rounds_per_sec stays the bare round loop.
 //
-//  4. Catch-up: every broker past the training users has been idle since
-//     the fleet was built. After catch_up_idle_rounds more rounds, one
-//     wire line each wakes 1000 of them, spread over the fleet, and the
-//     round that catches them up is timed; five times, with fresh users
-//     each time. Reports catch_up_ns_per_round: the median of that round's
-//     wall time over the deferred rounds it replayed (the caught_up_rounds
-//     delta). The round's own admissions and the still-active training
-//     users ride along, so it slightly overstates the replay. The owed
-//     stretch is the whole fleet clock, and the replay skips most of it
-//     (broker::run_idle_rounds), so this per-round figure falls as the
-//     fleet clock grows.
+//  4. Catch-up against lag: for each lag of 100, 1000 and 10000 rounds,
+//     1000 fresh lagging brokers, spread over the fleet past the training
+//     users, are caught up (untimed), the fleet idles exactly that many
+//     rounds, and user_broker() then catches each of them up again, timed.
+//     Reports catch_up_us_per_broker_lag_<lag>: the wall time per broker
+//     of replaying exactly <lag> owed rounds. Below the skip threshold the
+//     cost is linear in the lag; above it, flat.
 //
-//  5. Catch-up against lag: for each lag of 100, 1000 and 10000 rounds,
-//     1000 fresh lagging brokers are caught up (untimed), the fleet idles
-//     exactly that many rounds, and user_broker() then catches each of
-//     them up again, timed. Reports catch_up_us_per_broker_lag_<lag>: the
-//     wall time per broker of replaying exactly <lag> owed rounds. Below
-//     the skip threshold the cost is linear in the lag; above it, flat.
-//
-// Fleet construction is timed separately (fleet_build_sec) because elastic
-// resharding pays it again on every reshard.
+// Fleet construction is timed separately (fleet.build_sec, at threads=)
+// because elastic resharding pays it again on every reshard. After the
+// phases, with that fleet torn down, the fleet is built twice more, on
+// every hardware thread and then on one (round_engine builds on its worker
+// pool): fleet.parallel_sec and fleet.sequential_sec, each with a checksum
+// over every broker's initial state; the harness fails unless the two
+// match.
 //
 // Output is machine-readable JSON on stdout (or json=PATH); scripts/bench.sh
 // folds it into BENCH_perf.json as the "service" section and the gate
@@ -63,11 +57,14 @@
 #include <fstream>
 #include <iostream>
 #include <iterator>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "common/config.hpp"
+#include "common/parallel.hpp"
 #include "common/stats.hpp"
 #include "core/experiment.hpp"
 #include "core/service.hpp"
@@ -85,14 +82,25 @@ double seconds_since(clock_type::time_point start) {
     return std::chrono::duration<double>(clock_type::now() - start).count();
 }
 
-/// Phase 4: rounds the fleet idles before each catch-up round, lagging
-/// brokers each catch-up round wakes, and repetitions (median reported).
-constexpr std::uint64_t catch_up_idle_rounds = 1000;
+/// Phase 4: lagging brokers timed per lag, and the lags.
 constexpr std::size_t catch_up_users = 1000;
-constexpr std::size_t catch_up_reps = 5;
-
-/// Phase 5: the lags a touched broker is timed at.
 constexpr std::uint64_t catch_up_lags[] = {100, 1000, 10000};
+
+/// FNV-1a over every broker's initial state the service exposes: battery
+/// level, data budget, energy credit, network state and round index.
+std::uint64_t fleet_checksum(richnote::core::notification_service& svc) {
+    using richnote::bench::fnv1a;
+    std::uint64_t hash = richnote::bench::fnv1a_offset;
+    for (std::size_t u = 0; u < svc.user_count(); ++u) {
+        const auto& b = svc.user_broker(static_cast<richnote::trace::user_id>(u));
+        hash = fnv1a(hash, b.battery().level());
+        hash = fnv1a(hash, b.data_budget());
+        hash = fnv1a(hash, b.sched().energy_credit_joules());
+        hash = fnv1a(hash, static_cast<double>(b.network_state()));
+        hash = fnv1a(hash, static_cast<double>(b.rounds_run()));
+    }
+    return hash;
+}
 
 } // namespace
 
@@ -138,7 +146,8 @@ int main(int argc, char** argv) try {
 
     std::cerr << "[perf] building fleet: " << users << " brokers...\n";
     const auto build_start = clock_type::now();
-    core::notification_service svc(setup, sp);
+    auto service = std::make_unique<core::notification_service>(setup, sp);
+    core::notification_service& svc = *service;
     const double fleet_build_sec = seconds_since(build_start);
     std::cerr << "[perf] fleet built in " << fleet_build_sec << " s\n";
 
@@ -213,53 +222,20 @@ int main(int argc, char** argv) try {
     }
     svc.run_round(); // drain the burst so the final counters balance
 
-    // Phase 4: catch-up (see the header). The woken users lie past the
-    // training users, and each repetition wakes a fresh set, so no round
-    // has run their brokers yet.
-    double catch_up_ns_per_round = 0.0;
     const std::size_t lagging = std::min(catch_up_users, users - std::min(users, train_users));
     const std::size_t lag_sets = std::size(catch_up_lags);
-    const bool measure_catch_up =
-        lagging > 0 && (users - train_users) / lagging >= catch_up_reps + lag_sets;
-    if (measure_catch_up) {
-        std::cerr << "[perf] " << catch_up_reps << " x (idle " << catch_up_idle_rounds
-                  << " rounds, time the catch-up of " << lagging << " lagging brokers)...\n";
-        const std::size_t stride = (users - train_users) / lagging;
-        std::vector<double> ns_per_round;
-        for (std::size_t rep = 0; rep < catch_up_reps; ++rep) {
-            svc.run_rounds(catch_up_idle_rounds);
-            for (std::size_t i = 0; i < lagging; ++i) {
-                trace::notification n = flat[i % flat.size()];
-                n.recipient = static_cast<trace::user_id>(train_users + i * stride + rep);
-                n.id = (std::uint64_t{1} << 40) + rep * lagging + i; // past every trace id
-                n.created_at = 0.0;
-                if (svc.ingest(n) != core::notification_service::ingest_status::accepted) {
-                    std::cerr << "error: catch-up ingest rejected\n";
-                    return 1;
-                }
-            }
-            const std::uint64_t owed_before = svc.counters().caught_up_rounds;
-            const auto catch_up_start = clock_type::now();
-            svc.run_round();
-            const double wall = seconds_since(catch_up_start);
-            const std::uint64_t owed = svc.counters().caught_up_rounds - owed_before;
-            ns_per_round.push_back(wall * 1e9 / static_cast<double>(owed));
-            std::cerr << "[perf] caught up " << owed << " rounds in " << wall * 1e3
-                      << " ms: " << ns_per_round.back() << " ns per owed round\n";
-        }
-        catch_up_ns_per_round = richnote::percentile(ns_per_round, 0.5);
-    } else {
+    const bool measure_catch_up = lagging > 0 && (users - train_users) / lagging >= lag_sets;
+    if (!measure_catch_up)
         std::cerr << "[perf] users= leaves too few lagging brokers; catch-up not measured\n";
-    }
 
-    // Phase 5: catch-up per touched broker against its lag (see the
+    // Phase 4: catch-up per touched broker against its lag (see the
     // header). Each lag has its own set of users, none touched before.
     std::vector<double> catch_up_us_per_broker(lag_sets, 0.0);
     if (measure_catch_up) {
         const std::size_t stride = (users - train_users) / lagging;
         for (std::size_t l = 0; l < lag_sets; ++l) {
             const auto user_at = [&](std::size_t i) {
-                return static_cast<trace::user_id>(train_users + i * stride + catch_up_reps + l);
+                return static_cast<trace::user_id>(train_users + i * stride + l);
             };
             for (std::size_t i = 0; i < lagging; ++i) (void)svc.user_broker(user_at(i));
             svc.run_rounds(catch_up_lags[l]);
@@ -276,6 +252,31 @@ int main(int argc, char** argv) try {
             std::cerr << "[perf] lag " << catch_up_lags[l] << ": "
                       << catch_up_us_per_broker[l] << " us per caught-up broker\n";
         }
+    }
+
+    // The fleet build again, on every hardware thread and then on one, once
+    // the run's fleet is gone: same brokers, bit for bit. Both builds reuse
+    // pages the run's fleet touched, so neither pays the first touch that
+    // fleet.build_sec includes.
+    service.reset();
+    const std::size_t build_threads = resolve_threads(0, users);
+    double build_sec_all_threads = 0.0;
+    double build_sec_one_thread = 0.0;
+    std::uint64_t checksum_all_threads = 0;
+    std::uint64_t checksum_one_thread = 0;
+    for (const std::size_t t : {build_threads, std::size_t{1}}) {
+        core::service_params at = sp;
+        at.worker_threads = t;
+        std::cerr << "[perf] rebuilding the fleet on " << t << " thread(s)...\n";
+        const auto start = clock_type::now();
+        core::notification_service built(setup, at);
+        (t == 1 ? build_sec_one_thread : build_sec_all_threads) = seconds_since(start);
+        (t == 1 ? checksum_one_thread : checksum_all_threads) = fleet_checksum(built);
+    }
+    if (checksum_all_threads != checksum_one_thread) {
+        std::cerr << "error: the fleet built on " << build_threads
+                  << " threads differs from the one built on one thread\n";
+        return 1;
     }
 
     const std::string uarch = std::string(ml::simd::arch_name()) + "/" +
@@ -295,15 +296,18 @@ int main(int argc, char** argv) try {
          << "  \"fleet\": {\"build_sec\": " << fleet_build_sec
          << ", \"brokers_per_sec\": "
          << (fleet_build_sec > 0 ? static_cast<double>(users) / fleet_build_sec : 0.0)
-         << "},\n"
+         << ", \"sequential_sec\": " << build_sec_one_thread
+         << ", \"parallel_sec\": " << build_sec_all_threads
+         << ", \"threads\": " << build_threads
+         << ", \"sequential_checksum\": " << richnote::bench::json_hex(checksum_one_thread)
+         << ", \"parallel_checksum\": " << richnote::bench::json_hex(checksum_all_threads) << "},\n"
          << "  \"service\": {\"rounds_run\": " << rounds
          << ", \"wall_sec\": " << rounds_wall
          << ", \"service_rounds_per_sec\": " << service_rounds_per_sec
          << ", \"user_rounds_per_sec\": " << user_rounds_per_sec
          << ", \"active_users\": " << active_users
          << ", \"caught_up_rounds\": " << caught_up_rounds
-         << ", \"publish_ms\": " << publish_ms
-         << ", \"catch_up_ns_per_round\": " << catch_up_ns_per_round;
+         << ", \"publish_ms\": " << publish_ms;
     for (std::size_t l = 0; l < lag_sets; ++l)
         json << ", \"catch_up_us_per_broker_lag_" << catch_up_lags[l]
              << "\": " << catch_up_us_per_broker[l];
@@ -333,12 +337,13 @@ int main(int argc, char** argv) try {
         manifest.add_config("threads", static_cast<std::uint64_t>(threads));
         manifest.add_config("uarch", uarch);
         manifest.add_timing("fleet_build_sec", fleet_build_sec);
+        manifest.add_timing("fleet_build_sec_one_thread", build_sec_one_thread);
+        manifest.add_timing("fleet_build_sec_all_threads", build_sec_all_threads);
         manifest.add_timing("service_rounds_per_sec", service_rounds_per_sec);
         manifest.add_timing("user_rounds_per_sec", user_rounds_per_sec);
         manifest.add_timing("active_users", active_users);
         manifest.add_timing("caught_up_rounds", static_cast<double>(caught_up_rounds));
         manifest.add_timing("publish_ms", publish_ms);
-        manifest.add_timing("catch_up_ns_per_round", catch_up_ns_per_round);
         for (std::size_t l = 0; l < lag_sets; ++l)
             manifest.add_timing("catch_up_us_per_broker_lag_" + std::to_string(catch_up_lags[l]),
                                 catch_up_us_per_broker[l]);

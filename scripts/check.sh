@@ -11,7 +11,9 @@
 #                and integer op checked.
 #   --tsan       separate build-tsan/ tree with -DRICHNOTE_TSAN=ON
 #                (ThreadSanitizer). Runs the suites that exercise the
-#                worker-thread paths: parallel forest fitting (test_ml), the
+#                worker-thread paths: parallel forest fitting (test_ml),
+#                set-up on every core, i.e. the fit, the U_c cache and the
+#                fleet build (test_core's setup_threads suite), the
 #                sharded round loop + trace merge (test_integration), and
 #                all of test_obs in one process: the exposition server's
 #                handler pool, scrape-time refresh hook, lifecycle stripes
@@ -22,11 +24,13 @@
 #                the default RelWithDebInfo tree never triggers.
 #   --bench      perf smoke + regression gate: runs scripts/bench.sh --quick
 #                (small fixed sizes), fails unless the emitted BENCH JSON
-#                parses and carries the expected sections, re-runs the
-#                inference harness under BOTH dispatch paths (the detected
-#                kernel and RICHNOTE_FORCE_SCALAR=1) — each run's internal
-#                bit-identity gate must hold and the reported uarch must
-#                match the forced path — then runs scripts/bench.sh --gate
+#                parses and carries the expected sections and fields (the
+#                set-up steps' checksums must match across thread counts),
+#                re-runs the inference harness under BOTH dispatch paths
+#                (the detected kernel and RICHNOTE_FORCE_SCALAR=1) — each
+#                run's internal bit-identity gate must hold and the reported
+#                uarch must match the forced path — then runs
+#                scripts/bench.sh --gate
 #                against the tracked BENCH_perf.json (>10% rounds/sec or
 #                flat-batch regression, or any alloc/round growth, fails).
 #   --serve      service-mode smoke under ASan+UBSan AND TSan: boots
@@ -143,11 +147,21 @@ for section in ("round_loop", "round_loop_mt4", "inference", "service", "eval",
         sys.exit(f"BENCH JSON missing section: {section}")
     if doc[section].get("schema") != "richnote-bench-v1":
         sys.exit(f"BENCH JSON section {section} has wrong schema tag")
-for field in ("service_rounds_per_sec", "publish_ms", "catch_up_ns_per_round",
+for field in ("service_rounds_per_sec", "publish_ms",
               "catch_up_us_per_broker_lag_100", "catch_up_us_per_broker_lag_1000",
               "catch_up_us_per_broker_lag_10000"):
     if doc["service"]["service"].get(field, 0) <= 0:
         sys.exit(f"BENCH JSON service section has non-positive {field}")
+# Set-up steps, each timed on one thread and on every hardware thread,
+# with a checksum per thread count that must match (DESIGN.md §8.2).
+for section, step in (("inference", "fit"), ("inference", "cache"), ("service", "fleet")):
+    block = doc[section].get(step, {})
+    for field in ("sequential_sec", "parallel_sec", "threads"):
+        if block.get(field, 0) <= 0:
+            sys.exit(f"BENCH JSON {section}.{step} has a missing or non-positive {field}")
+    sums = (block.get("sequential_checksum"), block.get("parallel_checksum"))
+    if sums[0] is None or sums[0] != sums[1]:
+        sys.exit(f"BENCH JSON {section}.{step} checksums differ across thread counts: {sums}")
 # user_rounds_per_sec counts deferred idle rounds too, so the service
 # section also carries how many brokers a round actually ran.
 for field in ("active_users", "caught_up_rounds"):
@@ -517,8 +531,9 @@ fi
 if [ "${1:-}" = "--tsan" ]; then
   BUILD_DIR=build-tsan
   cmake -B "$BUILD_DIR" -S . -DRICHNOTE_TSAN=ON
-  cmake --build "$BUILD_DIR" -j "$(nproc)" --target test_ml test_integration test_obs
+  cmake --build "$BUILD_DIR" -j "$(nproc)" --target test_ml test_core test_integration test_obs
   "$BUILD_DIR/tests/test_ml"
+  "$BUILD_DIR/tests/test_core" --gtest_filter='setup_threads.*'
   "$BUILD_DIR/tests/test_integration"
   "$BUILD_DIR/tests/test_obs"
   exit 0

@@ -65,7 +65,8 @@ experiment_setup::experiment_setup(const options& opts) : opts_(opts) {
             model_ = std::make_shared<forest_content_utility>(std::move(forest));
         }
     }
-    cached_ = std::make_unique<cached_content_utility>(world_->notifications(), *model_);
+    cached_ = std::make_unique<cached_content_utility>(world_->notifications(), *model_,
+                                                       opts.forest.fit_threads);
 }
 
 std::vector<std::uint64_t> experiment_setup::default_category_edges() const {
@@ -168,7 +169,7 @@ experiment_result make_experiment_result(const experiment_setup& setup,
                                          const experiment_params& params,
                                          const metrics_recorder& metrics,
                                          const run_totals& totals,
-                                         const std::vector<broker>& brokers,
+                                         std::span<const broker> brokers,
                                          std::uint64_t rounds_run) {
     experiment_result r;
     r.scheduler_name = to_string(params.kind);

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -164,7 +165,16 @@ class experiment_setup {
 public:
     struct options {
         trace::workload_params workload;
-        ml::forest_params forest;
+        /// Set-up runs on forest.fit_threads threads: the forest fit and the
+        /// U_c cache's scoring (0, the default here, = every hardware
+        /// thread). Both are bit-identical for any count (DESIGN.md §8.2).
+        /// An online learner's refits take their own
+        /// experiment_params::online.forest.
+        ml::forest_params forest = [] {
+            ml::forest_params every_core;
+            every_core.fit_threads = 0;
+            return every_core;
+        }();
         /// Training rows are subsampled to this cap (0 = no cap) to keep
         /// forest training time reasonable at large trace scales.
         std::size_t max_training_rows = 20'000;
@@ -223,7 +233,7 @@ experiment_result make_experiment_result(const experiment_setup& setup,
                                          const experiment_params& params,
                                          const metrics_recorder& metrics,
                                          const run_totals& totals,
-                                         const std::vector<broker>& brokers,
+                                         std::span<const broker> brokers,
                                          std::uint64_t rounds_run);
 
 /// theta: the per-round slice of the weekly budget (§V-C "budget per week").

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <exception>
 #include <limits>
+#include <memory>
 
 #include "common/error.hpp"
 #include "obs/lifecycle.hpp"
@@ -57,16 +59,16 @@ round_engine::round_engine(const experiment_setup& setup, const experiment_param
         online_model_ = std::make_unique<online_content_utility>(online_params);
         utility_ = online_model_.get();
     }
-    build_fleet();
     pool_ = std::make_unique<worker_pool>(std::max<std::size_t>(
         1, std::min(worker_threads, user_count)));
+    build_fleet();
     if (!defer_) {
         // The full sweep: every broker is active for the whole run.
         for (trace::user_id u = 0; u < user_count; ++u) activate(u);
     }
 }
 
-round_engine::~round_engine() = default;
+round_engine::~round_engine() { destroy_fleet(); }
 
 void round_engine::build_fleet() {
     broker_build_context ctx;
@@ -80,9 +82,38 @@ void round_engine::build_fleet() {
     ctx.theta = round_budget_bytes(params_);
     ctx.battery_horizon = setup_->world().params().horizon + params_.round;
     const std::size_t users = metrics_.user_count();
-    brokers_.reserve(users);
-    for (trace::user_id u = 0; u < users; ++u)
-        brokers_.push_back(make_user_broker(ctx, u, expected_admissions_(u)));
+    const std::size_t slots = pool_->threads();
+    broker* const fleet = std::allocator<broker>{}.allocate(users);
+    std::vector<std::size_t> built(slots, 0);
+    std::vector<std::exception_ptr> errors(slots);
+    pool_->run([&](std::size_t slot) {
+        const auto [lo, hi] = worker_pool::shard_range(users, slot, slots);
+        try {
+            for (std::size_t u = lo; u < hi; ++u, ++built[slot]) {
+                const auto user = static_cast<trace::user_id>(u);
+                ::new (static_cast<void*>(fleet + u))
+                    broker(make_user_broker(ctx, user, expected_admissions_(user)));
+            }
+        } catch (...) {
+            errors[slot] = std::current_exception();
+        }
+    });
+    for (const std::exception_ptr& error : errors) {
+        if (!error) continue;
+        for (std::size_t slot = 0; slot < slots; ++slot)
+            std::destroy_n(fleet + worker_pool::shard_range(users, slot, slots).first,
+                           built[slot]);
+        std::allocator<broker>{}.deallocate(fleet, users);
+        std::rethrow_exception(error);
+    }
+    brokers_ = {fleet, users};
+}
+
+void round_engine::destroy_fleet() noexcept {
+    if (brokers_.empty()) return;
+    std::destroy(brokers_.begin(), brokers_.end());
+    std::allocator<broker>{}.deallocate(brokers_.data(), brokers_.size());
+    brokers_ = {};
 }
 
 void round_engine::admit(trace::user_id u, const trace::notification& n) {
@@ -190,11 +221,11 @@ void round_engine::reshard(std::size_t worker_threads) {
     std::vector<broker_checkpoint> checkpoints;
     checkpoints.reserve(brokers_.size());
     for (const broker& b : brokers_) checkpoints.push_back(b.checkpoint());
-    brokers_.clear();
+    destroy_fleet();
+    pool_ = std::make_unique<worker_pool>(
+        std::max<std::size_t>(1, std::min(worker_threads, checkpoints.size())));
     build_fleet();
     for (std::size_t u = 0; u < brokers_.size(); ++u) brokers_[u].restore(checkpoints[u]);
-    pool_ = std::make_unique<worker_pool>(
-        std::max<std::size_t>(1, std::min(worker_threads, brokers_.size())));
 }
 
 const broker& round_engine::user_broker(trace::user_id u) {

@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -88,7 +89,7 @@ public:
     std::uint64_t run_round(arrival_source& source);
 
     /// Elastic resharding at a round boundary: checkpoint every broker,
-    /// rebuild the fleet deterministically, restore, resize the pool.
+    /// resize the pool, rebuild the fleet on it deterministically, restore.
     /// Lagging brokers go through as they are: round_index is in the
     /// checkpoint, so a restored broker still owes the same rounds.
     void reshard(std::size_t worker_threads);
@@ -129,7 +130,7 @@ public:
     const metrics_recorder& metrics() const noexcept { return metrics_; }
     /// The fleet as it stands: a deferred broker lags, but its user's
     /// metrics and its (empty) queue are already final.
-    const std::vector<broker>& brokers() const noexcept { return brokers_; }
+    std::span<const broker> brokers() const noexcept { return brokers_; }
     /// User u's broker, first caught up to the current round. Driver
     /// thread only.
     const broker& user_broker(trace::user_id u);
@@ -142,7 +143,14 @@ public:
     std::uint64_t caught_up_rounds() const noexcept { return caught_up_rounds_; }
 
 private:
+    /// Constructs broker u for every user on the pool: each slot builds the
+    /// contiguous range of users it owns in the full sweep, so the thread
+    /// that later runs a slot's brokers is the one that allocated them.
+    /// Broker u is a function of (params, u) alone, so the fleet is
+    /// bit-identical for any pool size.
     void build_fleet();
+    /// Destroys and frees the fleet (brokers_ left empty).
+    void destroy_fleet() noexcept;
     /// Replays the rounds user u's broker missed while deferred; returns
     /// how many. Touches only u's broker and owed_start_[u], so worker
     /// slots may call it for their own users concurrently.
@@ -163,8 +171,11 @@ private:
     metrics_recorder metrics_;
     std::shared_ptr<telemetry> trajectories_;
 
-    std::vector<broker> brokers_;
+    /// Built before the fleet, which it constructs (build_fleet).
     std::unique_ptr<worker_pool> pool_;
+    /// The fleet, one broker per user, in storage this engine allocates and
+    /// constructs in place (build_fleet) and destroys (destroy_fleet).
+    std::span<broker> brokers_;
 
     /// Whether idle brokers may leave the active list (see the header).
     bool defer_;

@@ -1,6 +1,9 @@
 #include "core/utility.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 
 namespace richnote::core {
 
@@ -131,19 +134,33 @@ bool online_content_utility::on_round_end() {
 }
 
 cached_content_utility::cached_content_utility(const trace::notification_trace& trace,
-                                               const content_utility_model& model) {
-    by_id_.assign(trace.total_count, 0.0);
-    std::vector<const trace::notification*> notes;
-    notes.reserve(trace.total_count);
+                                               const content_utility_model& model,
+                                               std::size_t threads)
+    : by_id_(trace.total_count, 0.0) {
+    // Every note at its id's slot, so a block of consecutive ids scores
+    // straight into the matching block of by_id_.
+    std::vector<const trace::notification*> notes(trace.total_count, nullptr);
+    std::size_t placed = 0;
     for (const auto& stream : trace.per_user) {
         for (const auto& n : stream) {
-            RICHNOTE_REQUIRE(n.id < by_id_.size(), "notification ids must be dense");
-            notes.push_back(&n);
+            RICHNOTE_REQUIRE(n.id < notes.size() && notes[n.id] == nullptr,
+                             "notification ids must be dense and distinct");
+            notes[n.id] = &n;
+            ++placed;
         }
     }
-    std::vector<double> scores(notes.size());
-    model.content_utility_batch(notes, scores);
-    for (std::size_t i = 0; i < notes.size(); ++i) by_id_[notes[i]->id] = scores[i];
+    RICHNOTE_REQUIRE(placed == notes.size(), "notification ids must be dense and distinct");
+    // Each thread scores one contiguous id range, a block at a time, so a
+    // forest model builds one block's feature matrix rather than the whole
+    // trace's. Every score depends only on its own note, hence identical
+    // for any thread count and block size.
+    constexpr std::size_t block_rows = 1024;
+    richnote::for_each_chunk(notes.size(), threads, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t b = begin; b < end; b += block_rows) {
+            const std::size_t n = std::min(block_rows, end - b);
+            model.content_utility_batch({notes.data() + b, n}, {by_id_.data() + b, n});
+        }
+    });
 }
 
 double cached_content_utility::content_utility(const trace::notification& n) const {

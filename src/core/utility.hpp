@@ -14,7 +14,9 @@
 namespace richnote::core {
 
 /// Content utility: "how likely the user would be interested in consuming
-/// content i" (§III-A). Implementations must return values in [0, 1].
+/// content i" (§III-A). Implementations must return values in [0, 1], and
+/// their const calls must be safe to make from several threads at once
+/// (cached_content_utility scores on every core).
 class content_utility_model {
 public:
     virtual ~content_utility_model() = default;
@@ -70,6 +72,7 @@ public:
     void content_utility_batch(std::span<const trace::notification* const> notes,
                                std::span<double> out) const override;
 
+    const ml::random_forest& forest() const noexcept { return *forest_; }
     const ml::flat_forest& flat() const noexcept { return flat_; }
 
 private:
@@ -115,8 +118,14 @@ private:
 /// and serves lookups afterwards.
 class cached_content_utility final : public content_utility_model {
 public:
+    /// Scores every notification of `trace`, whose ids must be exactly
+    /// 0..total_count-1 (as the generator numbers them), on `threads`
+    /// threads (0 = every hardware thread). Each thread scores a contiguous
+    /// id range through model.content_utility_batch, one block at a time,
+    /// straight into the table; the table is bit-identical for any thread
+    /// count. `model` must be safe to call from several threads at once.
     cached_content_utility(const trace::notification_trace& trace,
-                           const content_utility_model& model);
+                           const content_utility_model& model, std::size_t threads = 0);
 
     double content_utility(const trace::notification& n) const override;
 

@@ -1,13 +1,13 @@
 #include "ml/flat_forest.hpp"
 
 #include <algorithm>
-#include <thread>
 
 #if defined(__x86_64__)
 #include <immintrin.h>
 #endif
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "ml/random_forest.hpp"
 #include "ml/simd_dispatch.hpp"
 #include "obs/profile.hpp"
@@ -283,29 +283,11 @@ void flat_forest::predict_proba(std::span<const double> matrix, std::size_t row_
     const std::size_t stride = matrix.size() / row_count;
     RICHNOTE_REQUIRE(stride >= min_features_, "matrix rows too short for this forest");
 
-    if (threads == 0) threads = std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
-    threads = std::min(threads, row_count);
-    if (threads <= 1) {
-        score_rows(matrix.data(), stride, 0, row_count, out.data());
-        return;
-    }
-
-    // Contiguous per-worker row chunks writing disjoint out slices — the
-    // sharding discipline of random_forest::fit. Rows are independent, so
-    // any shard geometry yields bit-identical output. score_rows is
-    // noexcept, so plain join suffices (no exception shuttling needed).
-    const std::size_t per = (row_count + threads - 1) / threads;
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    for (std::size_t t = 0; t < threads; ++t) {
-        const std::size_t chunk_begin = t * per;
-        const std::size_t chunk_end = std::min(chunk_begin + per, row_count);
-        if (chunk_begin >= chunk_end) break;
-        workers.emplace_back([this, &matrix, stride, chunk_begin, chunk_end, &out] {
-            score_rows(matrix.data(), stride, chunk_begin, chunk_end, out.data());
-        });
-    }
-    for (std::thread& worker : workers) worker.join();
+    // Contiguous per-thread row chunks writing disjoint out slices. Rows are
+    // independent, so any chunk geometry yields bit-identical output.
+    richnote::for_each_chunk(row_count, threads, [&](std::size_t begin, std::size_t end) {
+        score_rows(matrix.data(), stride, begin, end, out.data());
+    });
 }
 
 std::vector<double> flat_forest::predict_proba(const dataset& rows) const {

@@ -15,8 +15,8 @@
 // Batched scoring walks cache-blocked row groups trees-outer / rows-inner
 // through a runtime-dispatched kernel (ml/simd_dispatch.hpp): 4-lane AVX2
 // gather traversal on x86-64, interleaved independent walks elsewhere. A
-// threads-accepting overload shards rows into contiguous per-worker chunks
-// (the deterministic sharding discipline of random_forest::fit).
+// threads-accepting overload shards rows into contiguous per-thread chunks
+// (common/parallel.hpp's for_each_chunk).
 //
 // Determinism contract: predictions are bit-identical to the source
 // random_forest on every path — single-row, batched, every dispatch target
@@ -80,9 +80,9 @@ public:
 
     /// Multi-threaded batched inference: rows are sharded into `threads`
     /// contiguous chunks (0 = hardware_concurrency, 1 = sequential); each
-    /// worker scores its own chunk and writes a disjoint slice of `out`.
-    /// Rows are independent, so the result is bit-identical for any thread
-    /// count — the same sharding discipline as random_forest::fit.
+    /// thread scores its own chunk and writes a disjoint slice of `out`,
+    /// and all are joined before this returns. Rows are independent, so
+    /// the result is bit-identical for any thread count.
     void predict_proba(std::span<const double> matrix, std::size_t row_count,
                        std::span<double> out, std::size_t threads) const;
 

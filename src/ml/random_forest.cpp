@@ -1,13 +1,12 @@
 #include "ml/random_forest.hpp"
 
-#include <algorithm>
+#include <atomic>
 #include <cmath>
-#include <exception>
 #include <fstream>
 #include <string>
-#include <thread>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "obs/profile.hpp"
 
@@ -42,9 +41,15 @@ void random_forest::fit(const dataset& data, const forest_params& params, std::u
     if (params.compute_oob)
         in_bag.assign(params.tree_count, std::vector<std::uint8_t>(data.size(), 0));
 
-    const auto fit_range = [&](std::size_t begin, std::size_t end) {
+    // Trees go out one at a time from a shared counter, so no thread sits
+    // idle behind a static chunk while another still holds several trees.
+    // Which thread fits tree t does not matter: its rng and its slots are
+    // its own.
+    std::atomic<std::size_t> next_tree{0};
+    const std::size_t threads = richnote::resolve_threads(params.fit_threads, params.tree_count);
+    richnote::run_on_threads(threads, [&](std::size_t) {
         std::vector<std::size_t> sample(data.size());
-        for (std::size_t t = begin; t < end; ++t) {
+        for (std::size_t t = next_tree++; t < params.tree_count; t = next_tree++) {
             richnote::rng& tree_gen = tree_gens[t];
             for (std::size_t i = 0; i < data.size(); ++i) {
                 const std::size_t r = tree_gen.index(data.size());
@@ -53,36 +58,7 @@ void random_forest::fit(const dataset& data, const forest_params& params, std::u
             }
             trees_[t].fit(data, sample, per_tree, tree_gen);
         }
-    };
-
-    std::size_t threads = params.fit_threads == 0
-                              ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
-                              : params.fit_threads;
-    threads = std::min(threads, params.tree_count);
-    if (threads <= 1) {
-        fit_range(0, params.tree_count);
-    } else {
-        // Contiguous chunks; each worker owns its sample buffer and writes
-        // only its own trees_[t] / in_bag[t] slots.
-        std::vector<std::thread> workers;
-        std::vector<std::exception_ptr> errors(threads);
-        const std::size_t per = (params.tree_count + threads - 1) / threads;
-        for (std::size_t w = 0; w < threads; ++w) {
-            const std::size_t begin = w * per;
-            const std::size_t end = std::min(begin + per, params.tree_count);
-            if (begin >= end) break;
-            workers.emplace_back([&, w, begin, end] {
-                try {
-                    fit_range(begin, end);
-                } catch (...) {
-                    errors[w] = std::current_exception();
-                }
-            });
-        }
-        for (std::thread& worker : workers) worker.join();
-        for (const std::exception_ptr& error : errors)
-            if (error) std::rethrow_exception(error);
-    }
+    });
 
     if (params.compute_oob) {
         // Per row: sum of probabilities from trees that did not see it, and
